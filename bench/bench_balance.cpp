@@ -30,6 +30,9 @@
 //   - and its per-image p50 latency is no worse than the static plan's;
 //   - balanced dispatch actually steals (steal.steals > 0) and every
 //     task is accounted (arms + steals == tasks);
+//   - a fault-free guarded balanced stream's images/s does not decrease
+//     from batch 1 to 16 to 64 (the per-request pipeline overlaps decode
+//     with extraction whatever the admission batch);
 //   - on the dup_fraction=0.5 corpus the cached engine's per-call
 //     throughput is >= 1.5x the cold engine's;
 //   - the cache hit count equals the corpus's duplicate count (every
@@ -52,6 +55,7 @@ namespace {
 constexpr int kImages = 16;
 constexpr int kDupImages = 24;
 constexpr int kBatch = 4;
+constexpr int kBatchImages = 24;
 constexpr double kRetryDeadlineNs = 50e6;
 
 /// A guarded kSharded machine+engine with SPE 0 hung persistently (the
@@ -200,6 +204,41 @@ int main(int argc, char** argv) {
                                bm.counter("steal.steals").value(),
                        "every balanced task is accounted: arms + steals "
                        "== tasks");
+
+  // ---- batch-size shape: the per-request pipeline ----
+  // A balanced stream pipelines per request (decode of request i+1
+  // overlaps extraction of request i), so a bigger admission batch must
+  // never cost throughput — the window flow it replaced fell from batch
+  // 1 to 64 because a lone window had nothing to overlap with.
+  {
+    marvel::Dataset corpus =
+        marvel::make_mixed_size_dataset(kBatchImages, 2007);
+    std::printf("guarded balanced kMultiSPE stream, %d SIC images:\n",
+                kBatchImages);
+    double prev_rate = 0;
+    bool monotone = true;
+    for (int batch : {1, 16, 64}) {
+      sim::Machine machine;
+      guard::GuardPolicy guard;
+      guard.enabled = true;
+      guard.retry.deadline_ns = kRetryDeadlineNs;
+      marvel::CellEngine engine(machine, library_path(),
+                                marvel::Scenario::kMultiSPE,
+                                kernels::kDoubleBuffer, false, guard);
+      engine.set_balanced(true);
+      marvel::StreamStats stats;
+      engine.analyze_stream(corpus.images, {batch}, &stats);
+      std::printf("  batch %2d: %.1f img/s\n", batch, stats.images_per_sec);
+      artifact.add_row("balanced_stream_b" + std::to_string(batch),
+                       {{"images_per_sec", stats.images_per_sec}});
+      monotone = monotone && stats.images_per_sec >= prev_rate;
+      prev_rate = stats.images_per_sec;
+    }
+    std::printf("\n");
+    ok &= artifact.shape(monotone,
+                         "balanced stream images/s does not decrease from "
+                         "batch 1 to 16 to 64");
+  }
 
   // ---- experiment 2: repeated traffic through the content cache ----
   // Seed 11's realized duplicate rate sits at the nominal 0.5 for this

@@ -52,6 +52,10 @@ class TaskQueue {
 
   TaskQueue(std::size_t tasks, std::size_t lanes);
 
+  /// Appends `n` tasks behind the queued ones (the streaming pipeline
+  /// rolls one queue across requests as each is decoded).
+  void add(std::size_t n) { tasks_ += n; }
+
   /// Assigns the next unissued task to `lane` (which must be idle).
   /// Returns the task index, or kNone when every task is issued. The
   /// first issue to a lane counts as an arm, later ones as steals.

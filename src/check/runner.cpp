@@ -462,11 +462,14 @@ RunOutcome run_engine(const ScenarioSpec& spec, const RunConfig& cfg,
       std::vector<marvel::AnalysisResult> cell2;
       double u0 = m2.ppe().now_ns();
       if (spec.stream_batch > 0) {
-        // Guarded streams retire windows sequentially; force the same
-        // schedule on the unguarded engine so the 2% bound compares the
-        // guard's overhead, not the pipelining it forgoes.
+        // Guarded window streams retire windows sequentially; force the
+        // same schedule on the unguarded engine so the 2% bound compares
+        // the guard's overhead, not the pipelining it forgoes. Balanced
+        // streams pipeline per request guarded or not, so both engines
+        // run that same decode-ahead schedule.
         cell2 = plain.analyze_stream(
-            in.encoded, {spec.stream_batch, /*sequential=*/true}, nullptr);
+            in.encoded, {spec.stream_batch, /*sequential=*/!spec.balanced},
+            nullptr);
       } else if (spec.pipelined_batch && scen != marvel::Scenario::kSingleSPE) {
         cell2 = plain.analyze_batch_pipelined(in.encoded);
       } else {

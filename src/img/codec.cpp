@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <utility>
 
 #include "img/huffman.h"
 #include "img/ppm.h"
@@ -255,109 +256,154 @@ bool is_ppm(const SicEncoded& enc) {
 }
 
 RgbImage sic_decode(const SicEncoded& enc, sim::ScalarContext* ctx) {
-  if (is_ppm(enc)) {
+  SicDecoder dec(enc, ctx);
+  while (dec.step()) {
+  }
+  return dec.take();
+}
+
+SicDecoder::SicDecoder(const SicEncoded& enc, sim::ScalarContext* ctx,
+                       bool charge_io, RgbImage storage)
+    : enc_(enc),
+      ctx_(ctx),
+      stage_(charge_io && ctx != nullptr ? Stage::kIo : Stage::kHeader),
+      img_(std::move(storage)) {}
+
+bool SicDecoder::step() {
+  switch (stage_) {
+    case Stage::kIo:
+      // Reading the compressed image from disk.
+      ctx_->charge_io(enc_.bytes.size(), /*open_file=*/true);
+      stage_ = Stage::kHeader;
+      break;
+    case Stage::kHeader:
+      decode_header();
+      break;
+    case Stage::kRows:
+      decode_block_row();
+      break;
+    case Stage::kDone:
+      break;
+  }
+  return stage_ != Stage::kDone;
+}
+
+RgbImage SicDecoder::take() {
+  if (stage_ != Stage::kDone) {
+    throw cellport::ConfigError("SicDecoder::take before the last slice");
+  }
+  return std::move(img_);
+}
+
+void SicDecoder::decode_header() {
+  if (is_ppm(enc_)) {
     // PPM carrier: the strict shared parser (identical to the SPE feed
     // path's header handling), then a per-row unpack whose touch cost is
     // charged per 16-byte chunk — this is the PPE-resident ingest that
     // cellfeed exists to displace.
-    RgbImage img = decode_p6(enc.bytes.data(), enc.bytes.size());
+    img_ = decode_p6(enc_.bytes.data(), enc_.bytes.size());
     std::uint64_t chunks =
-        (static_cast<std::uint64_t>(img.width()) * 3 * img.height() + 15) /
+        (static_cast<std::uint64_t>(img_.width()) * 3 * img_.height() +
+         15) /
         16;
-    chg(ctx, sim::OpClass::kLoad, chunks);
-    chg(ctx, sim::OpClass::kStore, chunks);
-    chg(ctx, sim::OpClass::kIntAlu,
-        static_cast<std::uint64_t>(img.height()) * 2);
-    return img;
+    chg(ctx_, sim::OpClass::kLoad, chunks);
+    chg(ctx_, sim::OpClass::kStore, chunks);
+    chg(ctx_, sim::OpClass::kIntAlu,
+        static_cast<std::uint64_t>(img_.height()) * 2);
+    stage_ = Stage::kDone;
+    return;
   }
-  std::size_t hdr = 0;
-  if (enc.bytes.size() < 4 || enc.bytes[0] != 'S' ||
-      enc.bytes[1] != 'I' || enc.bytes[2] != 'C' || enc.bytes[3] != '2') {
+  const std::vector<std::uint8_t>& bytes = enc_.bytes;
+  if (bytes.size() < 4 || bytes[0] != 'S' || bytes[1] != 'I' ||
+      bytes[2] != 'C' || bytes[3] != '2') {
     throw cellport::IoError("bad SIC magic");
   }
-  hdr = 4;
-  int w = static_cast<int>(get_varint(enc.bytes, hdr));
-  int h = static_cast<int>(get_varint(enc.bytes, hdr));
-  int quality = static_cast<int>(get_varint(enc.bytes, hdr));
-  // Entropy-decode the token stream, then parse it.
-  std::vector<std::uint8_t> in = huffman_decode(enc.bytes, hdr, ctx);
-  std::size_t pos = 0;
+  std::size_t hdr = 4;
+  int w = static_cast<int>(get_varint(bytes, hdr));
+  int h = static_cast<int>(get_varint(bytes, hdr));
+  int quality = static_cast<int>(get_varint(bytes, hdr));
+  // Entropy-decode the token stream; the block rows parse it.
+  tokens_ = huffman_decode(bytes, hdr, ctx_);
   if (w <= 0 || h <= 0 || w > 1 << 16 || h > 1 << 16) {
     throw cellport::IoError("bad SIC dimensions");
   }
-  auto q = quant_table(quality);
-  RgbImage img(w, h);
+  quant_ = quant_table(quality);
+  img_.reshape(w, h);
+  bw_ = (w + kBlock - 1) / kBlock;
+  bh_ = (h + kBlock - 1) / kBlock;
+  stage_ = Stage::kRows;
+}
 
-  int bw = (w + kBlock - 1) / kBlock;
-  int bh = (h + kBlock - 1) / kBlock;
-  for (int ch = 0; ch < 3; ++ch) {
-    int prev_dc = 0;
-    for (int by = 0; by < bh; ++by) {
-      for (int bx = 0; bx < bw; ++bx) {
-        int qv[64] = {};
-        prev_dc += zz_dec(get_varint(in, pos));
-        qv[0] = prev_dc;
-        int i = 1;
-        int nz_ac = 0;
-        for (;;) {
-          std::uint32_t tok = get_varint(in, pos);
-          chg(ctx, sim::OpClass::kLoad, 2);
-          chg(ctx, sim::OpClass::kIntAlu, 4);
-          chg(ctx, sim::OpClass::kBranch, 2);
-          if (tok == 0) break;  // end of block
-          i += static_cast<int>(tok) - 1;
-          if (i >= 64) throw cellport::IoError("SIC run overflow");
-          qv[i++] = zz_dec(get_varint(in, pos));
-          ++nz_ac;
-        }
-        float blk[kBlock][kBlock];
-        if (nz_ac == 0) {
-          // DC-only fast path (most blocks of smooth regions): the
-          // whole block is one constant. Same association as the
-          // general path: (dc*q * c00) * c00.
-          chg(ctx, sim::OpClass::kMul, 3);
-          chg(ctx, sim::OpClass::kStore, 64);
-          chg(ctx, sim::OpClass::kIntAlu, 64);
-          float c00 = basis().c[0][0];
-          float v = (static_cast<float>(qv[0]) *
-                     static_cast<float>(q[0]) * c00) *
-                    c00;
-          for (auto& row : blk) {
-            for (float& x : row) x = v;
-          }
-        } else {
-          // Dequantize the nonzeros + fast separable IDCT (32 mul +
-          // 32 add per 1-D pass; all-zero columns are skipped).
-          float coef[kBlock][kBlock] = {};
-          for (int k = 0; k < 64; ++k) {
-            int idx = kZigzag[k];
-            coef[idx / kBlock][idx % kBlock] =
-                static_cast<float>(qv[k]) * static_cast<float>(q[idx]);
-          }
-          int passes = idct8x8(coef, blk);
-          chg(ctx, sim::OpClass::kMul,
-              static_cast<std::uint64_t>(nz_ac) + 1);
-          chg(ctx, sim::OpClass::kFloatAlu,
-              static_cast<std::uint64_t>(passes) * 32);
-          chg(ctx, sim::OpClass::kMul,
-              static_cast<std::uint64_t>(passes) * 32);
-          chg(ctx, sim::OpClass::kIntAlu, 64 * 2);
-          chg(ctx, sim::OpClass::kStore, 64);
-        }
-        for (int y = 0; y < kBlock; ++y) {
-          int sy = by * kBlock + y;
-          if (sy >= h) break;
-          for (int x = 0; x < kBlock; ++x) {
-            int sx = bx * kBlock + x;
-            if (sx >= w) break;
-            img.at(sx, sy, ch) = static_cast<std::uint8_t>(
-                std::clamp(std::lround(blk[y][x] + 128.0f), 0l, 255l));
-          }
-        }
+void SicDecoder::decode_block_row() {
+  const int w = img_.width();
+  const int h = img_.height();
+  sim::ScalarContext* ctx = ctx_;
+  if (by_ == 0) prev_dc_ = 0;  // DC deltas restart with each channel
+  const int by = by_;
+  for (int bx = 0; bx < bw_; ++bx) {
+    int qv[64] = {};
+    prev_dc_ += zz_dec(get_varint(tokens_, pos_));
+    qv[0] = prev_dc_;
+    int i = 1;
+    int nz_ac = 0;
+    for (;;) {
+      std::uint32_t tok = get_varint(tokens_, pos_);
+      chg(ctx, sim::OpClass::kLoad, 2);
+      chg(ctx, sim::OpClass::kIntAlu, 4);
+      chg(ctx, sim::OpClass::kBranch, 2);
+      if (tok == 0) break;  // end of block
+      i += static_cast<int>(tok) - 1;
+      if (i >= 64) throw cellport::IoError("SIC run overflow");
+      qv[i++] = zz_dec(get_varint(tokens_, pos_));
+      ++nz_ac;
+    }
+    float blk[kBlock][kBlock];
+    if (nz_ac == 0) {
+      // DC-only fast path (most blocks of smooth regions): the whole
+      // block is one constant. Same association as the general path:
+      // (dc*q * c00) * c00.
+      chg(ctx, sim::OpClass::kMul, 3);
+      chg(ctx, sim::OpClass::kStore, 64);
+      chg(ctx, sim::OpClass::kIntAlu, 64);
+      float c00 = basis().c[0][0];
+      float v =
+          (static_cast<float>(qv[0]) * static_cast<float>(quant_[0]) * c00) *
+          c00;
+      for (auto& row : blk) {
+        for (float& x : row) x = v;
+      }
+    } else {
+      // Dequantize the nonzeros + fast separable IDCT (32 mul + 32 add
+      // per 1-D pass; all-zero columns are skipped).
+      float coef[kBlock][kBlock] = {};
+      for (int k = 0; k < 64; ++k) {
+        int idx = kZigzag[k];
+        coef[idx / kBlock][idx % kBlock] =
+            static_cast<float>(qv[k]) * static_cast<float>(quant_[idx]);
+      }
+      int passes = idct8x8(coef, blk);
+      chg(ctx, sim::OpClass::kMul, static_cast<std::uint64_t>(nz_ac) + 1);
+      chg(ctx, sim::OpClass::kFloatAlu,
+          static_cast<std::uint64_t>(passes) * 32);
+      chg(ctx, sim::OpClass::kMul, static_cast<std::uint64_t>(passes) * 32);
+      chg(ctx, sim::OpClass::kIntAlu, 64 * 2);
+      chg(ctx, sim::OpClass::kStore, 64);
+    }
+    for (int y = 0; y < kBlock; ++y) {
+      int sy = by * kBlock + y;
+      if (sy >= h) break;
+      for (int x = 0; x < kBlock; ++x) {
+        int sx = bx * kBlock + x;
+        if (sx >= w) break;
+        img_.at(sx, sy, ch_) = static_cast<std::uint8_t>(
+            std::clamp(std::lround(blk[y][x] + 128.0f), 0l, 255l));
       }
     }
   }
-  return img;
+  if (++by_ == bh_) {
+    by_ = 0;
+    if (++ch_ == 3) stage_ = Stage::kDone;
+  }
 }
 
 double psnr(const RgbImage& a, const RgbImage& b) {

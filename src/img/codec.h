@@ -10,6 +10,7 @@
 // its decode cost is charged to the preprocessing phase.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -42,9 +43,49 @@ bool is_ppm(const SicEncoded& enc);
 /// decode op mix (entropy decode + dequant + IDCT per block) when
 /// ctx != null — this is MARVEL's "image reading and decompressing" cost.
 /// P6 PPM carriers (see ppm_encode) decode through the strict shared
-/// parser with a per-row copy cost instead.
+/// parser with a per-row copy cost instead. The loop over SicDecoder.
 RgbImage sic_decode(const SicEncoded& enc,
                     sim::ScalarContext* ctx = nullptr);
+
+/// The one decode implementation, resumable: each step() runs one slice
+/// of PPE-serial work so a caller can interleave its own between slices
+/// (the streaming pipeline services finished SPE tasks there). Slices, in
+/// order: the disk read (only with `charge_io`), the header + Huffman
+/// pass (the whole decode for a PPM carrier), then one per (channel,
+/// block row). Run to completion it issues exactly sic_decode's charges
+/// in the same order, and throws the same IoError from the slice that
+/// meets the malformed bytes. `enc` must outlive the decoder.
+class SicDecoder {
+ public:
+  /// `storage` is an earlier image whose pixel buffer the decode reuses
+  /// (RgbImage::reshape) instead of allocating one.
+  SicDecoder(const SicEncoded& enc, sim::ScalarContext* ctx = nullptr,
+             bool charge_io = false, RgbImage storage = {});
+
+  /// Runs the next slice; true while more remain.
+  bool step();
+  bool done() const { return stage_ == Stage::kDone; }
+  /// The decoded image (once done()).
+  RgbImage take();
+
+ private:
+  enum class Stage : std::uint8_t { kIo, kHeader, kRows, kDone };
+  void decode_header();
+  void decode_block_row();
+
+  const SicEncoded& enc_;
+  sim::ScalarContext* ctx_;
+  Stage stage_;
+  RgbImage img_;
+  std::vector<std::uint8_t> tokens_;
+  std::size_t pos_ = 0;
+  std::array<int, 64> quant_{};
+  int bw_ = 0;
+  int bh_ = 0;
+  int ch_ = 0;
+  int by_ = 0;
+  int prev_dc_ = 0;
+};
 
 /// Peak signal-to-noise ratio between two images (round-trip quality).
 double psnr(const RgbImage& a, const RgbImage& b);

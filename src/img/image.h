@@ -47,10 +47,31 @@ class RgbImage {
 
   std::uint8_t* data() { return pixels_.data(); }
   const std::uint8_t* data() const { return pixels_.data(); }
-  std::size_t bytes() const { return pixels_.bytes(); }
+  std::size_t bytes() const {
+    return static_cast<std::size_t>(stride_) * height_;
+  }
 
   bool same_dims(const RgbImage& o) const {
     return width_ == o.width_ && height_ == o.height_;
+  }
+
+  /// Re-dimensions the image to `width` x `height` with every byte zero,
+  /// as a fresh RgbImage(width, height) reads. The pixel storage is kept
+  /// when it is large enough, so a decoder that recycles one image per
+  /// in-flight request allocates nothing once it has seen the largest
+  /// shape.
+  void reshape(int width, int height) {
+    const int stride = static_cast<int>(
+        cellport::round_up(static_cast<std::size_t>(width) * 3, 16));
+    const std::size_t need = static_cast<std::size_t>(stride) * height;
+    if (width <= 0 || height <= 0 || pixels_.size() < need) {
+      *this = RgbImage(width, height);  // throws on bad dimensions
+      return;
+    }
+    width_ = width;
+    height_ = height;
+    stride_ = stride;
+    std::memset(pixels_.data(), 0, need);
   }
 
  private:

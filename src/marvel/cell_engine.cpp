@@ -346,7 +346,9 @@ std::vector<CellEngine::FeedLane> CellEngine::feed_lanes() {
   return lanes;
 }
 
-img::RgbImage CellEngine::ingest(const img::SicEncoded& image) {
+img::RgbImage CellEngine::ingest(const img::SicEncoded& image,
+                                 const std::function<void()>& between_slices,
+                                 img::RgbImage storage) {
   sim::ScalarContext& ppe = machine_.ppe();
   if (feed_ && img::is_ppm(image)) {
     // The strict shared parser: a malformed header throws the exact
@@ -381,14 +383,17 @@ img::RgbImage CellEngine::ingest(const img::SicEncoded& image) {
         ppe.charge_io(hdr.pixel_offset, /*open_file=*/false);
         ppe.charge(sim::OpClass::kIntAlu, 32);  // token scan
       }
-      img::RgbImage dst(hdr.width, hdr.height);
-      feed_image(image, hdr, dst);
-      return dst;
+      storage.reshape(hdr.width, hdr.height);
+      feed_image(image, hdr, storage);
+      return storage;
     }
   }
   probe::ProbeSpan span(prt(), probe::Phase::kDecode, ppe, "sic_decode");
-  ppe.charge_io(image.bytes.size(), /*open_file=*/true);
-  return img::sic_decode(image, &ppe);
+  img::SicDecoder dec(image, &ppe, /*charge_io=*/true, std::move(storage));
+  while (dec.step()) {
+    if (between_slices) between_slices();
+  }
+  return dec.take();
 }
 
 void CellEngine::feed_image(const img::SicEncoded& image,

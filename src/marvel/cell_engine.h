@@ -19,6 +19,7 @@
 //                 per-image latency where kMultiSPE optimizes occupancy.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,13 +53,15 @@ class StreamEngine;
 struct StreamOptions {
   /// Images admitted per ring doorbell (the streaming window size).
   /// 1..128; 1 degenerates to one-request batches (the overhead-parity
-  /// baseline).
+  /// baseline). Balanced engines pipeline per request instead, so there
+  /// it only sizes the detection rings.
   int batch = 8;
-  /// Retire each window before doorbelling the next even when the engine
-  /// could keep two in flight (unguarded parallel scenarios). Guarded
-  /// engines always run this way; forcing it on an unguarded engine
-  /// yields the schedule a guarded run charges, for apples-to-apples
-  /// comparisons.
+  /// No decode-ahead. Window flows retire each window before doorbelling
+  /// the next even when the engine could keep two in flight (unguarded
+  /// parallel scenarios; guarded window flows always run this way, so
+  /// forcing it on an unguarded engine yields the schedule a guarded run
+  /// charges). Balanced engines decode request i+1 only after request i
+  /// retires instead of while it extracts.
   bool sequential = false;
   /// cellserve degrade ladder: score at most this many concept models
   /// per feature (0 = all of them). The detect kernels run shorter
@@ -271,10 +274,16 @@ class CellEngine {
   /// single CD interface).
   std::vector<FeedLane> feed_lanes();
   /// Decode-or-feed front end shared by analyze(), the pipelined batch
-  /// loop, and StreamEngine::prepare_window. With feed off (or an
+  /// loop, and StreamEngine's image prepare. With feed off (or an
   /// ineligible carrier) it charges exactly what the legacy decode path
-  /// charged.
-  img::RgbImage ingest(const img::SicEncoded& image);
+  /// charged. `between_slices`, when set, runs after every PPE decode
+  /// slice but the last (img::SicDecoder) — the streaming pipeline
+  /// services finished SPE tasks there. The image is decoded into
+  /// `storage`'s pixel buffer when it is large enough (the streaming
+  /// buffers recycle theirs, so a long stream does not churn the heap).
+  img::RgbImage ingest(const img::SicEncoded& image,
+                       const std::function<void()>& between_slices = {},
+                       img::RgbImage storage = {});
   /// The SPE half of ingest(): splits `hdr`'s rows across feed_lanes(),
   /// sends SPU_Run_Feed, and waits under the FeedDMA probe phase.
   void feed_image(const img::SicEncoded& image, const img::PpmHeader& hdr,

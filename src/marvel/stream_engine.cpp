@@ -16,6 +16,30 @@ std::size_t padded_dim(int dim) {
   return cellport::round_up(static_cast<std::size_t>(dim), 8);
 }
 
+/// Fixed-order merge of slot `s`'s partials into its feature vector:
+/// count sections for CH/CC/EH, Haar-tile sums for TX.
+void reduce_slot(int s, const std::vector<const std::uint32_t*>& counts,
+                 const std::vector<const double*>& tiles,
+                 const std::vector<int>& tile_doubles, int iw, int ih,
+                 float* out, sim::ScalarContext* ppe) {
+  const auto n = static_cast<int>(counts.size());
+  switch (s) {
+    case shard::kSlotCh:
+      shard::reduce_ch(counts.data(), n, iw, ih, out, ppe);
+      break;
+    case shard::kSlotCc:
+      shard::reduce_cc(counts.data(), n, out, ppe);
+      break;
+    case shard::kSlotTx:
+      shard::reduce_tx(tiles.data(), tile_doubles.data(),
+                       static_cast<int>(tiles.size()), iw, ih, out, ppe);
+      break;
+    default:
+      shard::reduce_eh(counts.data(), n, iw, ih, out, ppe);
+      break;
+  }
+}
+
 }  // namespace
 
 StreamEngine::StreamEngine(CellEngine& engine, const StreamOptions& opts)
@@ -23,12 +47,12 @@ StreamEngine::StreamEngine(CellEngine& engine, const StreamOptions& opts)
   if (opts_.batch < 1 || opts_.batch > 128) {
     throw cellport::ConfigError("stream batch must be 1..128");
   }
-  // cellbalance also forces the sequential window loop: the steal flow
-  // issues tasks with Send/Wait (one in flight per lane), so a second
-  // window's arm wave cannot overlap the first's drain.
-  pipelined_ = !opts_.sequential && !engine_.guard_.enabled &&
-               engine_.scenario_ != Scenario::kSingleSPE &&
-               !engine_.balanced_;
+  // Scenario 1 stays sequential (each kernel's work retires before the
+  // next starts); opts_.sequential means "no decode-ahead" on every flow.
+  const bool overlap =
+      !opts_.sequential && engine_.scenario_ != Scenario::kSingleSPE;
+  pipelined_ = overlap && !engine_.guard_.enabled && !engine_.balanced_;
+  decode_ahead_ = overlap && engine_.balanced_;
   if (engine_.guard_.enabled) {
     guard_deadline_ns_ = engine_.guard_.retry.deadline_ns;
   }
@@ -47,63 +71,64 @@ StreamEngine::StreamEngine(CellEngine& engine, const StreamOptions& opts)
     }
   }
   // Raw-partial bytes per shard (TX is tile-count dependent and (re)sized
-  // in prepare_window; see CellEngine::setup_sharding).
+  // in prepare_image; see CellEngine::setup_sharding).
   const std::size_t part_bytes[4] = {
       kernels::kShardChWords * sizeof(std::uint32_t),
       kernels::kShardCcWords * sizeof(std::uint32_t),
       0,
       kernels::kShardEhWords * sizeof(std::uint32_t),
   };
-  const auto B = static_cast<std::size_t>(opts_.batch);
-  for (auto& parity : bufs_) {
-    parity.reserve(B);
-    for (std::size_t j = 0; j < B; ++j) {
-      auto pi = std::make_unique<PerImage>();
-      for (int s = 0; s < 4; ++s) {
-        CellEngine::FeatureSlot& slot = engine_.slots_[s];
-        SlotBuf& sb = pi->sb[s];
-        sb.out = cellport::AlignedBuffer<float>(padded_dim(slot.dim));
-        sb.scores = cellport::AlignedBuffer<double>(slot.scores.size());
-        // The detection message is static per buffer: it reads this
-        // buffer's feature vector and writes this buffer's scores. The
-        // model descriptors stay shared, read-only, with the engine.
-        kernels::DetectMsg& dm = *sb.detect_msg;
-        dm = *slot.detect_msg;
-        dm.num_models = scored_models_[s];
-        dm.feature_ea = reinterpret_cast<std::uint64_t>(sb.out.data());
-        dm.scores_ea = reinterpret_cast<std::uint64_t>(sb.scores.data());
-        if (!sharded) continue;
-        const auto n =
-            static_cast<std::size_t>(engine_.plan_.extract_shards[s]);
-        sb.shard_msgs =
-            std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
-        sb.shard_parts.resize(n);
-        if (part_bytes[s] > 0) {
-          for (auto& p : sb.shard_parts) {
-            p = cellport::AlignedBuffer<std::uint8_t>(part_bytes[s]);
-          }
-        }
-        // Detection block staging is static per buffer like detect_msg:
-        // the block split depends only on the model count.
-        const auto d = static_cast<std::size_t>(engine_.plan_.detect_spes);
-        sb.block_msgs =
-            std::vector<port::WrappedMessage<kernels::DetectMsg>>(d);
-        sb.block_scores.resize(d);
-        for (std::size_t b = 0; b < d; ++b) {
-          const shard::Range& block = cd_blocks_[s][b];
-          sb.block_scores[b] =
-              cellport::AlignedBuffer<double>(sb.scores.size());
-          if (block.empty()) continue;
-          kernels::DetectMsg& bm = *sb.block_msgs[b];
-          bm = dm;
-          bm.model_begin = block.begin;
-          bm.num_models = block.count();
-          bm.scores_ea =
-              reinterpret_cast<std::uint64_t>(sb.block_scores[b].data());
+  const std::size_t in_flight =
+      engine_.balanced_ ? (decode_ahead_ ? 2u : 1u)
+                        : static_cast<std::size_t>(opts_.batch) *
+                              (pipelined_ ? 2u : 1u);
+  bufs_.reserve(in_flight);
+  for (std::size_t j = 0; j < in_flight; ++j) {
+    auto pi = std::make_unique<PerImage>();
+    for (int s = 0; s < 4; ++s) {
+      CellEngine::FeatureSlot& slot = engine_.slots_[s];
+      SlotBuf& sb = pi->sb[s];
+      sb.out = cellport::AlignedBuffer<float>(padded_dim(slot.dim));
+      sb.scores = cellport::AlignedBuffer<double>(slot.scores.size());
+      // The detection message is static per buffer: it reads this
+      // buffer's feature vector and writes this buffer's scores. The
+      // model descriptors stay shared, read-only, with the engine.
+      kernels::DetectMsg& dm = *sb.detect_msg;
+      dm = *slot.detect_msg;
+      dm.num_models = scored_models_[s];
+      dm.feature_ea = reinterpret_cast<std::uint64_t>(sb.out.data());
+      dm.scores_ea = reinterpret_cast<std::uint64_t>(sb.scores.data());
+      if (!sharded) continue;
+      const auto n =
+          static_cast<std::size_t>(engine_.plan_.extract_shards[s]);
+      sb.shard_msgs =
+          std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
+      sb.shard_parts.resize(n);
+      if (part_bytes[s] > 0) {
+        for (auto& p : sb.shard_parts) {
+          p = cellport::AlignedBuffer<std::uint8_t>(part_bytes[s]);
         }
       }
-      parity.push_back(std::move(pi));
+      // Detection block staging is static per buffer like detect_msg:
+      // the block split depends only on the model count.
+      const auto d = static_cast<std::size_t>(engine_.plan_.detect_spes);
+      sb.block_msgs =
+          std::vector<port::WrappedMessage<kernels::DetectMsg>>(d);
+      sb.block_scores.resize(d);
+      for (std::size_t b = 0; b < d; ++b) {
+        const shard::Range& block = cd_blocks_[s][b];
+        sb.block_scores[b] =
+            cellport::AlignedBuffer<double>(sb.scores.size());
+        if (block.empty()) continue;
+        kernels::DetectMsg& bm = *sb.block_msgs[b];
+        bm = dm;
+        bm.model_begin = block.begin;
+        bm.num_models = block.count();
+        bm.scores_ea =
+            reinterpret_cast<std::uint64_t>(sb.block_scores[b].data());
+      }
     }
+    bufs_.push_back(std::move(pi));
   }
 }
 
@@ -146,117 +171,109 @@ port::SPEInterface* StreamEngine::ensure_ring(port::SPEInterface* iface,
   return iface;
 }
 
-std::size_t StreamEngine::window_begin(std::size_t w) const {
-  return w * static_cast<std::size_t>(opts_.batch);
+StreamEngine::Window StreamEngine::window(std::size_t w,
+                                          std::size_t total) {
+  const auto B = static_cast<std::size_t>(opts_.batch);
+  const std::size_t base = pipelined_ ? (w % 2) * B : 0;
+  Window win(std::min(B, total - w * B));
+  for (std::size_t j = 0; j < win.size(); ++j) {
+    win[j] = bufs_[base + j].get();
+  }
+  return win;
 }
 
-std::size_t StreamEngine::window_count(std::size_t w,
-                                       std::size_t total) const {
-  return std::min(static_cast<std::size_t>(opts_.batch),
-                  total - window_begin(w));
-}
-
-StreamEngine::PerImage& StreamEngine::buf(std::size_t w, std::size_t j) {
-  return *bufs_[w % 2][j];
-}
-
-void StreamEngine::prepare_window(
-    std::size_t w, const std::vector<const img::SicEncoded*>& images) {
-  const std::size_t base = window_begin(w);
-  const std::size_t count = window_count(w, images.size());
+void StreamEngine::prepare_image(
+    PerImage& pi, const img::SicEncoded& image,
+    const std::function<void()>& between_slices) {
   sim::ScalarContext& ppe = engine_.machine_.ppe();
-  for (std::size_t j = 0; j < count; ++j) {
-    PerImage& pi = buf(w, j);
-    const img::SicEncoded& image = *images[base + j];
-    pi.pixels = engine_.ingest(image);
-    // cellfeed fallbacks staged during ingest() belong to this image.
-    pi.degraded = std::move(engine_.feed_pending_degraded_);
-    engine_.feed_pending_degraded_.clear();
-    stats_.fallbacks += pi.degraded.size();
-    for (int s = 0; s < 4; ++s) {
-      // Listing 4's FILL_MSG_FROM_COLORIMAGE, against this window slot's
-      // private message.
-      ppe.charge(sim::OpClass::kStore, 12);
-      kernels::ImageMsg& m = *pi.sb[s].msg;
-      m.pixels_ea = reinterpret_cast<std::uint64_t>(pi.pixels.data());
-      m.width = pi.pixels.width();
-      m.height = pi.pixels.height();
-      m.stride = pi.pixels.stride();
-      m.buffering = engine_.buffering_;
-      m.out_ea = reinterpret_cast<std::uint64_t>(pi.sb[s].out.data());
-      m.out_count = engine_.slots_[s].dim;
+  pi.pixels = engine_.ingest(image, between_slices, std::move(pi.pixels));
+  // cellfeed fallbacks staged during ingest() belong to this image.
+  pi.degraded = std::move(engine_.feed_pending_degraded_);
+  engine_.feed_pending_degraded_.clear();
+  stats_.fallbacks += pi.degraded.size();
+  for (int s = 0; s < 4; ++s) {
+    // Listing 4's FILL_MSG_FROM_COLORIMAGE, against this buffer's private
+    // message.
+    ppe.charge(sim::OpClass::kStore, 12);
+    kernels::ImageMsg& m = *pi.sb[s].msg;
+    m.pixels_ea = reinterpret_cast<std::uint64_t>(pi.pixels.data());
+    m.width = pi.pixels.width();
+    m.height = pi.pixels.height();
+    m.stride = pi.pixels.stride();
+    m.buffering = engine_.buffering_;
+    m.out_ea = reinterpret_cast<std::uint64_t>(pi.sb[s].out.data());
+    m.out_count = engine_.slots_[s].dim;
+  }
+  if (engine_.fused_ || engine_.balanced_) {
+    // cellfuse: extraction rides fused lanes instead of the feature
+    // slots. Same small-image precondition as CellEngine::prepare_fused
+    // (a fused lane always computes the wavelet texture). cellbalance
+    // reuses the lane machinery at TASK granularity: the descriptor
+    // split is tile-aligned and finer than the lane count, so lanes
+    // can steal across it (and across images) in the wait phase.
+    const int ih = pi.pixels.height();
+    if (pi.pixels.width() < (1 << features::kTextureLevels) ||
+        ih < (1 << features::kTextureLevels)) {
+      throw cellport::ConfigError(
+          "image too small for the 4-level wavelet texture");
     }
-    if (engine_.fused_ || engine_.balanced_) {
-      // cellfuse: extraction rides fused lanes instead of the feature
-      // slots. Same small-image precondition as CellEngine::prepare_fused
-      // (a fused lane always computes the wavelet texture). cellbalance
-      // reuses the lane machinery at TASK granularity: the descriptor
-      // split is tile-aligned and finer than the lane count, so lanes
-      // can steal across it (and across images) in the wait phase.
-      const int ih = pi.pixels.height();
-      if (pi.pixels.width() < (1 << features::kTextureLevels) ||
-          ih < (1 << features::kTextureLevels)) {
-        throw cellport::ConfigError(
-            "image too small for the 4-level wavelet texture");
-      }
-      const auto lanes_n = static_cast<int>(engine_.fused_lanes().size());
-      pi.fused_rows = engine_.balanced_
-                          ? balance::split_tasks(ih, lanes_n)
-                          : shard::split_fused(ih, lanes_n);
-      const std::size_t n = pi.fused_rows.size();
-      if (pi.fused_msgs.size() < n) {
-        pi.fused_msgs =
-            std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
-      }
-      if (pi.fused_parts.size() < n) pi.fused_parts.resize(n);
-      for (std::size_t k = 0; k < n; ++k) {
-        const shard::Range& r = pi.fused_rows[k];
-        if (r.empty()) continue;
-        const std::size_t bytes = kernels::fused_partial_bytes(
-            pi.pixels.width(), ih, r.begin, r.end);
-        if (pi.fused_parts[k].bytes() < bytes) {
-          pi.fused_parts[k] =
-              cellport::AlignedBuffer<std::uint8_t>(bytes);
-        }
-        ppe.charge(sim::OpClass::kStore, 4);
-        kernels::ImageMsg& m = *pi.fused_msgs[k];
-        m = *pi.sb[0].msg;
-        m.row_begin = r.begin;
-        m.row_end = r.end;
-        m.out_ea = reinterpret_cast<std::uint64_t>(pi.fused_parts[k].data());
-      }
-      continue;
+    const auto lanes_n = static_cast<int>(engine_.fused_lanes().size());
+    pi.fused_rows = engine_.balanced_
+                        ? balance::split_tasks(ih, lanes_n)
+                        : shard::split_fused(ih, lanes_n);
+    const std::size_t n = pi.fused_rows.size();
+    if (pi.fused_msgs.size() < n) {
+      pi.fused_msgs =
+          std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
     }
-    if (engine_.scenario_ != Scenario::kSharded) continue;
-    // cellshard: the shard plan is fixed, the ranges follow this image's
-    // shape. Each shard message is the slot message plus its row range,
-    // writing the raw partial instead of the feature vector.
-    for (int s = 0; s < 4; ++s) {
-      SlotBuf& sb = pi.sb[s];
-      const int n = engine_.plan_.extract_shards[s];
-      sb.shard_rows = s == shard::kSlotTx
-                          ? shard::split_tiles(pi.pixels.height(), n)
-                          : shard::split_rows(pi.pixels.height(), n);
-      for (int k = 0; k < n; ++k) {
-        const shard::Range& r = sb.shard_rows[static_cast<std::size_t>(k)];
-        if (r.empty()) continue;
-        if (s == shard::kSlotTx) {
-          const auto bytes = static_cast<std::size_t>(
-                                 shard::tx_partial_doubles(r)) *
-                             sizeof(double);
-          auto& part = sb.shard_parts[static_cast<std::size_t>(k)];
-          if (part.bytes() < bytes) {
-            part = cellport::AlignedBuffer<std::uint8_t>(bytes);
-          }
-        }
-        ppe.charge(sim::OpClass::kStore, 4);
-        kernels::ImageMsg& m = *sb.shard_msgs[static_cast<std::size_t>(k)];
-        m = *sb.msg;
-        m.row_begin = r.begin;
-        m.row_end = r.end;
-        m.out_ea = reinterpret_cast<std::uint64_t>(
-            sb.shard_parts[static_cast<std::size_t>(k)].data());
+    if (pi.fused_parts.size() < n) pi.fused_parts.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const shard::Range& r = pi.fused_rows[k];
+      if (r.empty()) continue;
+      const std::size_t bytes = kernels::fused_partial_bytes(
+          pi.pixels.width(), ih, r.begin, r.end);
+      if (pi.fused_parts[k].bytes() < bytes) {
+        pi.fused_parts[k] =
+            cellport::AlignedBuffer<std::uint8_t>(bytes);
       }
+      ppe.charge(sim::OpClass::kStore, 4);
+      kernels::ImageMsg& m = *pi.fused_msgs[k];
+      m = *pi.sb[0].msg;
+      m.row_begin = r.begin;
+      m.row_end = r.end;
+      m.out_ea = reinterpret_cast<std::uint64_t>(pi.fused_parts[k].data());
+    }
+    return;
+  }
+  if (engine_.scenario_ != Scenario::kSharded) return;
+  // cellshard: the shard plan is fixed, the ranges follow this image's
+  // shape. Each shard message is the slot message plus its row range,
+  // writing the raw partial instead of the feature vector.
+  for (int s = 0; s < 4; ++s) {
+    SlotBuf& sb = pi.sb[s];
+    const int n = engine_.plan_.extract_shards[s];
+    sb.shard_rows = s == shard::kSlotTx
+                        ? shard::split_tiles(pi.pixels.height(), n)
+                        : shard::split_rows(pi.pixels.height(), n);
+    for (int k = 0; k < n; ++k) {
+      const shard::Range& r = sb.shard_rows[static_cast<std::size_t>(k)];
+      if (r.empty()) continue;
+      if (s == shard::kSlotTx) {
+        const auto bytes = static_cast<std::size_t>(
+                               shard::tx_partial_doubles(r)) *
+                           sizeof(double);
+        auto& part = sb.shard_parts[static_cast<std::size_t>(k)];
+        if (part.bytes() < bytes) {
+          part = cellport::AlignedBuffer<std::uint8_t>(bytes);
+        }
+      }
+      ppe.charge(sim::OpClass::kStore, 4);
+      kernels::ImageMsg& m = *sb.shard_msgs[static_cast<std::size_t>(k)];
+      m = *sb.msg;
+      m.row_begin = r.begin;
+      m.row_end = r.end;
+      m.out_ea = reinterpret_cast<std::uint64_t>(
+          sb.shard_parts[static_cast<std::size_t>(k)].data());
     }
   }
 }
@@ -267,6 +284,29 @@ int StreamEngine::flush_ring(port::SPEInterface* iface) {
   return n;
 }
 
+template <typename Rerun>
+void StreamEngine::wait_batch(port::SPEInterface* iface, std::size_t n,
+                              const char* stage, const Rerun& rerun) {
+  std::vector<int> res;
+  const sim::SimTime timeout =
+      guard_deadline_ns_ > 0
+          ? guard_deadline_ns_ * static_cast<sim::SimTime>(n)
+          : -1;
+  // A closed guarded interface (every candidate SPE quarantined) or a
+  // missed batch deadline: the guard's per-call loop still yields
+  // verdicts, which drop to the PPE reference path.
+  const bool lost = iface == nullptr || !iface->WaitBatch(&res, timeout);
+  if (lost && iface != nullptr) {
+    ++stats_.batch_timeouts;
+    iface->reclaim();
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!lost && res[i] != port::SPEInterface::kRingFault) continue;
+    if (!lost && !engine_.guard_.enabled) throw_ring_fault(stage, iface);
+    rerun(i);
+  }
+}
+
 port::SPEInterface* StreamEngine::shard_iface(int s, int k) {
   CellEngine::FeatureSlot& slot = engine_.slots_[s];
   if (engine_.guard_.enabled) {
@@ -275,9 +315,8 @@ port::SPEInterface* StreamEngine::shard_iface(int s, int k) {
   return slot.shard_ifs[static_cast<std::size_t>(k)].get();
 }
 
-void StreamEngine::flush_shard_slot(std::size_t w, std::size_t total,
-                                    int s) {
-  const std::size_t count = window_count(w, total);
+void StreamEngine::flush_shard_slot(const Window& win, int s) {
+  const std::size_t count = win.size();
   const auto cap = static_cast<std::uint32_t>(opts_.batch) *
                    (pipelined_ ? 2u : 1u);
   const auto spu_run = static_cast<int>(kernels::SPU_Run);
@@ -286,7 +325,7 @@ void StreamEngine::flush_shard_slot(std::size_t w, std::size_t total,
     if (iface == nullptr) continue;  // guarded + closed: wait resolves it
     int enqueued = 0;
     for (std::size_t j = 0; j < count; ++j) {
-      SlotBuf& sb = buf(w, j).sb[s];
+      SlotBuf& sb = win[j]->sb[s];
       if (sb.shard_rows[static_cast<std::size_t>(k)].empty()) continue;
       iface->Enqueue(spu_run,
                      sb.shard_msgs[static_cast<std::size_t>(k)].ea());
@@ -296,55 +335,26 @@ void StreamEngine::flush_shard_slot(std::size_t w, std::size_t total,
   }
 }
 
-void StreamEngine::wait_shard_slot(std::size_t w, std::size_t total,
-                                   int s) {
-  const std::size_t count = window_count(w, total);
+void StreamEngine::wait_shard_slot(const Window& win, int s) {
   for (int k = 0; k < engine_.plan_.extract_shards[s]; ++k) {
     // The requests this shard's ring actually carries for this window
     // (empty ranges were never enqueued).
-    std::vector<std::size_t> live;
-    for (std::size_t j = 0; j < count; ++j) {
-      if (!buf(w, j).sb[s].shard_rows[static_cast<std::size_t>(k)].empty()) {
-        live.push_back(j);
+    Window live;
+    for (PerImage* pi : win) {
+      if (!pi->sb[s].shard_rows[static_cast<std::size_t>(k)].empty()) {
+        live.push_back(pi);
       }
     }
     if (live.empty()) continue;
-    port::SPEInterface* iface = shard_iface(s, k);
-    guard::GuardedInterface* gi =
-        engine_.guard_.enabled
-            ? engine_.slots_[s].g_shards[static_cast<std::size_t>(k)].get()
-            : nullptr;
-    if (iface == nullptr) {
-      for (std::size_t j : live) rerun_shard(s, k, buf(w, j));
-      continue;
-    }
-    std::vector<int> res;
-    const sim::SimTime timeout =
-        guard_deadline_ns_ > 0
-            ? guard_deadline_ns_ * static_cast<sim::SimTime>(live.size())
-            : -1;
-    if (!iface->WaitBatch(&res, timeout)) {
-      ++stats_.batch_timeouts;
-      iface->reclaim();
-      for (std::size_t j : live) rerun_shard(s, k, buf(w, j));
-      continue;
-    }
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (res[i] != port::SPEInterface::kRingFault) continue;
-      if (gi != nullptr) {
-        rerun_shard(s, k, buf(w, live[i]));
-      } else {
-        throw_ring_fault("shard extract", iface);
-      }
-    }
+    wait_batch(shard_iface(s, k), live.size(), "shard extract",
+               [&](std::size_t i) { rerun_shard(s, k, *live[i]); });
   }
 }
 
-void StreamEngine::reduce_window(std::size_t w, std::size_t total) {
-  const std::size_t count = window_count(w, total);
+void StreamEngine::reduce_window(const Window& win) {
   sim::ScalarContext* ppe = &engine_.machine_.ppe();
-  for (std::size_t j = 0; j < count; ++j) {
-    PerImage& pi = buf(w, j);
+  for (PerImage* p : win) {
+    PerImage& pi = *p;
     const int iw = pi.pixels.width();
     const int ih = pi.pixels.height();
     for (int s = 0; s < 4; ++s) {
@@ -364,32 +374,14 @@ void StreamEngine::reduce_window(std::size_t w, std::size_t total) {
               sb.shard_parts[k].data()));
         }
       }
-      switch (s) {
-        case shard::kSlotCh:
-          shard::reduce_ch(counts.data(), static_cast<int>(counts.size()),
-                           iw, ih, sb.out.data(), ppe);
-          break;
-        case shard::kSlotCc:
-          shard::reduce_cc(counts.data(), static_cast<int>(counts.size()),
-                           sb.out.data(), ppe);
-          break;
-        case shard::kSlotTx:
-          shard::reduce_tx(tiles.data(), tile_doubles.data(),
-                           static_cast<int>(tiles.size()), iw, ih,
-                           sb.out.data(), ppe);
-          break;
-        default:
-          shard::reduce_eh(counts.data(), static_cast<int>(counts.size()),
-                           iw, ih, sb.out.data(), ppe);
-          break;
-      }
+      reduce_slot(s, counts, tiles, tile_doubles, iw, ih, sb.out.data(), ppe);
     }
     engine_.shard_reduce_counter_->add(1);
   }
 }
 
-void StreamEngine::run_detect_sharded(std::size_t w, std::size_t total) {
-  const std::size_t count = window_count(w, total);
+void StreamEngine::run_detect_sharded(const Window& win) {
+  const std::size_t count = win.size();
   const auto spu_run = static_cast<int>(kernels::SPU_Run);
   const auto cap = static_cast<std::uint32_t>(opts_.batch) * 4u;
   // Detection interface b carries block b of EVERY slot's model set —
@@ -404,50 +396,26 @@ void StreamEngine::run_detect_sharded(std::size_t w, std::size_t total) {
       }
     }
     if (live.empty()) continue;
-    guard::GuardedInterface* gi =
-        engine_.guard_.enabled
-            ? engine_.g_cd_shards_[static_cast<std::size_t>(b)].get()
-            : nullptr;
-    port::SPEInterface* iface =
-        gi != nullptr
-            ? gi->iface()
-            : engine_.cd_shard_ifs_[static_cast<std::size_t>(b)].get();
-    if (iface == nullptr) {
-      for (const auto& [j, s] : live) rerun_detect_block(s, b, buf(w, j));
-      continue;
-    }
-    ensure_ring(iface, cap);
-    for (const auto& [j, s] : live) {
-      iface->Enqueue(
-          spu_run,
-          buf(w, j).sb[s].block_msgs[static_cast<std::size_t>(b)].ea());
-    }
-    flush_ring(iface);
-    std::vector<int> res;
-    const sim::SimTime timeout =
-        guard_deadline_ns_ > 0
-            ? guard_deadline_ns_ * static_cast<sim::SimTime>(live.size())
-            : -1;
-    if (!iface->WaitBatch(&res, timeout)) {
-      ++stats_.batch_timeouts;
-      iface->reclaim();
-      for (const auto& [j, s] : live) rerun_detect_block(s, b, buf(w, j));
-      continue;
-    }
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (res[i] != port::SPEInterface::kRingFault) continue;
-      if (gi != nullptr) {
-        rerun_detect_block(live[i].second, b, buf(w, live[i].first));
-      } else {
-        throw_ring_fault("shard detect", iface);
+    const auto bi = static_cast<std::size_t>(b);
+    port::SPEInterface* iface = engine_.guard_.enabled
+                                    ? engine_.g_cd_shards_[bi]->iface()
+                                    : engine_.cd_shard_ifs_[bi].get();
+    if (iface != nullptr) {
+      ensure_ring(iface, cap);
+      for (const auto& [j, s] : live) {
+        iface->Enqueue(spu_run, win[j]->sb[s].block_msgs[bi].ea());
       }
+      flush_ring(iface);
     }
+    wait_batch(iface, live.size(), "shard detect", [&](std::size_t i) {
+      rerun_detect_block(live[i].second, b, *win[live[i].first]);
+    });
   }
   // Concatenate the staged blocks into each image's score arrays.
   sim::ScalarContext* ppe = &engine_.machine_.ppe();
   for (std::size_t j = 0; j < count; ++j) {
     for (int s = 0; s < 4; ++s) {
-      SlotBuf& sb = buf(w, j).sb[s];
+      SlotBuf& sb = win[j]->sb[s];
       std::vector<const double*> parts;
       std::vector<int> counts;
       for (std::size_t b = 0; b < sb.block_scores.size(); ++b) {
@@ -532,8 +500,8 @@ void StreamEngine::rerun_detect_block(int s, int b, PerImage& pi) {
 // knob on, slot 0 carries the whole window over the lane rings and the
 // other slots are no-ops (their extraction happened in the fused pass).
 
-void StreamEngine::flush_fused_window(std::size_t w, std::size_t total) {
-  const std::size_t count = window_count(w, total);
+void StreamEngine::flush_fused_window(const Window& win) {
+  const std::size_t count = win.size();
   const auto cap = static_cast<std::uint32_t>(opts_.batch) *
                    (pipelined_ ? 2u : 1u);
   const auto op = static_cast<int>(kernels::SPU_Run_Fused);
@@ -545,7 +513,7 @@ void StreamEngine::flush_fused_window(std::size_t w, std::size_t total) {
     if (iface == nullptr) continue;  // guarded + closed: wait resolves it
     int enqueued = 0;
     for (std::size_t j = 0; j < count; ++j) {
-      PerImage& pi = buf(w, j);
+      PerImage& pi = *win[j];
       if (pi.fused_rows[k].empty()) continue;
       iface->Enqueue(op, pi.fused_msgs[k].ea());
       ++enqueued;
@@ -554,40 +522,18 @@ void StreamEngine::flush_fused_window(std::size_t w, std::size_t total) {
   }
 }
 
-void StreamEngine::wait_fused_window(std::size_t w, std::size_t total) {
-  const std::size_t count = window_count(w, total);
+void StreamEngine::wait_fused_window(const Window& win) {
   std::vector<CellEngine::FusedLane> lanes = engine_.fused_lanes();
   for (std::size_t k = 0; k < lanes.size(); ++k) {
-    std::vector<std::size_t> live;
-    for (std::size_t j = 0; j < count; ++j) {
-      if (!buf(w, j).fused_rows[k].empty()) live.push_back(j);
+    Window live;
+    for (PerImage* pi : win) {
+      if (!pi->fused_rows[k].empty()) live.push_back(pi);
     }
     if (live.empty()) continue;
-    port::SPEInterface* iface =
-        lanes[k].gi != nullptr ? lanes[k].gi->iface() : lanes[k].iface;
-    if (iface == nullptr) {
-      for (std::size_t j : live) rerun_fused_lane(k, buf(w, j));
-      continue;
-    }
-    std::vector<int> res;
-    const sim::SimTime timeout =
-        guard_deadline_ns_ > 0
-            ? guard_deadline_ns_ * static_cast<sim::SimTime>(live.size())
-            : -1;
-    if (!iface->WaitBatch(&res, timeout)) {
-      ++stats_.batch_timeouts;
-      iface->reclaim();
-      for (std::size_t j : live) rerun_fused_lane(k, buf(w, j));
-      continue;
-    }
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (res[i] != port::SPEInterface::kRingFault) continue;
-      if (lanes[k].gi != nullptr) {
-        rerun_fused_lane(k, buf(w, live[i]));
-      } else {
-        throw_ring_fault("fused extract", iface);
-      }
-    }
+    wait_batch(
+        lanes[k].gi != nullptr ? lanes[k].gi->iface() : lanes[k].iface,
+        live.size(), "fused extract",
+        [&](std::size_t i) { rerun_fused_lane(k, *live[i]); });
   }
 }
 
@@ -600,12 +546,15 @@ void StreamEngine::rerun_fused_lane(std::size_t k, PerImage& pi) {
   engine_.rt_.add_closed(probe::Phase::kGuardRetry,
                          "fused[" + std::to_string(k) + "]", retry_t0,
                          engine_.machine_.ppe().now_ns());
-  if (r.ok) return;
+  if (!r.ok) fallback_fused_range(pi, k, "fuse[" + std::to_string(k) + "]");
+}
+
+void StreamEngine::fallback_fused_range(PerImage& pi, std::size_t k,
+                                        const std::string& label) {
   probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                        engine_.machine_.ppe(),
-                        "fuse[" + std::to_string(k) + "]");
-  // Per-feature PPE partials for just this lane's range, into the lane
-  // blob's four sections (see CellEngine::fused_fallback_lane).
+                        engine_.machine_.ppe(), label);
+  // Per-feature PPE partials for just this range, into the blob's four
+  // sections (see CellEngine::fused_fallback_lane).
   const shard::Range& range = pi.fused_rows[k];
   auto* words = reinterpret_cast<std::uint32_t*>(pi.fused_parts[k].data());
   sim::ScalarContext* ppe = &engine_.machine_.ppe();
@@ -626,11 +575,10 @@ void StreamEngine::rerun_fused_lane(std::size_t k, PerImage& pi) {
   for (int s = 0; s < 4; ++s) note_degraded("fuse", s, pi);
 }
 
-void StreamEngine::reduce_fused_window(std::size_t w, std::size_t total) {
-  const std::size_t count = window_count(w, total);
+void StreamEngine::reduce_fused_window(const Window& win) {
   sim::ScalarContext* ppe = &engine_.machine_.ppe();
-  for (std::size_t j = 0; j < count; ++j) {
-    PerImage& pi = buf(w, j);
+  for (PerImage* p : win) {
+    PerImage& pi = *p;
     const int iw = pi.pixels.width();
     const int ih = pi.pixels.height();
     for (int s = 0; s < 4; ++s) {
@@ -660,252 +608,71 @@ void StreamEngine::reduce_fused_window(std::size_t w, std::size_t total) {
             break;
         }
       }
-      SlotBuf& sb = pi.sb[s];
-      switch (s) {
-        case shard::kSlotCh:
-          shard::reduce_ch(counts.data(), static_cast<int>(counts.size()),
-                           iw, ih, sb.out.data(), ppe);
-          break;
-        case shard::kSlotCc:
-          shard::reduce_cc(counts.data(), static_cast<int>(counts.size()),
-                           sb.out.data(), ppe);
-          break;
-        case shard::kSlotTx:
-          shard::reduce_tx(tiles.data(), tile_doubles.data(),
-                           static_cast<int>(tiles.size()), iw, ih,
-                           sb.out.data(), ppe);
-          break;
-        default:
-          shard::reduce_eh(counts.data(), static_cast<int>(counts.size()),
-                           iw, ih, sb.out.data(), ppe);
-          break;
-      }
+      reduce_slot(s, counts, tiles, tile_doubles, iw, ih,
+                  pi.sb[s].out.data(), ppe);
     }
     engine_.fuse_images_counter_->add(1);
   }
 }
 
-// ---- cellbalance flows ----
-//
-// With the balanced knob on, extraction rides the fused lanes at TASK
-// granularity: the whole window contributes one pool of tile-aligned
-// descriptors (image-major), each lane is armed with one descriptor,
-// and the wait phase hands whichever lane finishes first the next one —
-// so a lane that drew a small image steals into its neighbours' work
-// instead of idling, and a quarantined lane never gates the window.
-// Reduction (reduce_fused_window) still walks every image's descriptors
-// in ascending row order, so results are bit-identical to the static
-// fused split.
-
-void StreamEngine::flush_balanced_window(std::size_t w,
-                                         std::size_t total) {
-  const std::size_t count = window_count(w, total);
-  std::vector<CellEngine::FusedLane> lanes = engine_.fused_lanes();
-  bal_pool_.clear();
-  for (std::size_t j = 0; j < count; ++j) {
-    PerImage& pi = buf(w, j);
-    for (std::size_t t = 0; t < pi.fused_rows.size(); ++t) {
-      if (!pi.fused_rows[t].empty()) bal_pool_.emplace_back(j, t);
-    }
-  }
-  bal_q_ = std::make_unique<balance::TaskQueue>(bal_pool_.size(),
-                                                lanes.size());
-  bal_sent_.assign(bal_pool_.size(), 0);
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    balanced_issue(w, lanes, k);
-  }
-}
-
-void StreamEngine::balanced_issue(
-    std::size_t w, const std::vector<CellEngine::FusedLane>& lanes,
-    std::size_t k) {
-  const std::size_t i = bal_q_->issue(k);
-  if (i == balance::TaskQueue::kNone) return;
-  bal_sent_[i] = engine_.machine_.ppe().now_ns();
-  PerImage& pi = buf(w, bal_pool_[i].first);
-  const auto op = static_cast<int>(kernels::SPU_Run_Fused);
-  const std::uint64_t ea = pi.fused_msgs[bal_pool_[i].second].ea();
-  if (lanes[k].gi != nullptr) {
-    lanes[k].gi->Send(op, ea);
-  } else {
-    lanes[k].iface->Send(op, ea);
-  }
-}
-
-void StreamEngine::wait_balanced_window(std::size_t w,
-                                        std::size_t total) {
-  (void)total;
-  sim::ScalarContext& ppe = engine_.machine_.ppe();
-  std::vector<CellEngine::FusedLane> lanes = engine_.fused_lanes();
-  balance::TaskQueue& q = *bal_q_;
-  std::vector<sim::SimTime> peeks(lanes.size(), sim::kNeverNs);
-  while (!q.done()) {
-    {
-      // Non-destructive completion peeks (fixed lane order, so the MMIO
-      // charges are deterministic); a hung or quarantined lane reports
-      // kNeverNs and never wins while a live lane is busy.
-      probe::ProbeSpan p(engine_.prt(), probe::Phase::kSteal, ppe,
-                         "pick");
-      for (std::size_t k = 0; k < lanes.size(); ++k) {
-        peeks[k] = !q.busy(k) ? sim::kNeverNs
-                   : lanes[k].gi != nullptr
-                       ? lanes[k].gi->peek_ns()
-                       : lanes[k].iface->peek_completion_ns();
-      }
-    }
-    const std::size_t k = balance::pick_earliest(peeks, q);
-    const std::size_t i = q.task_of(k);
-    const std::size_t j = bal_pool_[i].first;
-    const std::size_t t = bal_pool_[i].second;
-    PerImage& pi = buf(w, j);
-    const std::string tag =
-        "task[" + std::to_string(j) + "." + std::to_string(t) + "]";
-    if (lanes[k].gi != nullptr) {
-      const sim::SimTime finish_t0 = ppe.now_ns();
-      guard::GuardedInterface::Result r = lanes[k].gi->Finish();
-      if (r.attempts > 1) {
-        stats_.request_retries +=
-            static_cast<std::size_t>(r.attempts - 1);
-        engine_.rt_.add_closed(probe::Phase::kGuardRetry, tag, finish_t0,
-                               ppe.now_ns());
-      }
-      if (!r.ok) fallback_balanced_task(pi, t);
-    } else {
-      lanes[k].iface->Wait();
-    }
-    engine_.rt_.add_spe_span(probe::Phase::kExtract, tag, bal_sent_[i],
-                             ppe.now_ns());
-    q.complete(k);
-    balanced_issue(w, lanes, k);
-  }
-  engine_.steal_tasks_counter_->add(q.tasks());
-  engine_.steal_arms_counter_->add(q.arms());
-  engine_.steal_steals_counter_->add(q.steals());
-  bal_q_.reset();
-}
-
-void StreamEngine::fallback_balanced_task(PerImage& pi, std::size_t t) {
-  probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                        engine_.machine_.ppe(),
-                        "fuse[task" + std::to_string(t) + "]");
-  // Per-feature PPE partials for just this task's range, into the task
-  // blob's four sections (the per-task analogue of rerun_fused_lane's
-  // fallback half — Finish() already ran the guard's retry loop).
-  const shard::Range& range = pi.fused_rows[t];
-  auto* words = reinterpret_cast<std::uint32_t*>(pi.fused_parts[t].data());
-  sim::ScalarContext* ppe = &engine_.machine_.ppe();
-  shard::ppe_partial_ch(pi.pixels, range, words, ppe);
-  shard::ppe_partial_cc(pi.pixels, range,
-                        words + kernels::kFusedCcOffset, ppe);
-  shard::ppe_partial_eh(pi.pixels, range,
-                        words + kernels::kFusedEhOffset, ppe);
-  const int heff = 2 * (pi.pixels.height() / 2);
-  const shard::Range tx_rows{range.begin, std::min(range.end, heff)};
-  if (!tx_rows.empty()) {
-    shard::ppe_partial_tx(
-        pi.pixels, tx_rows,
-        reinterpret_cast<double*>(pi.fused_parts[t].data() +
-                                  kernels::kFusedCountBytes),
-        ppe);
-  }
-  for (int s = 0; s < 4; ++s) note_degraded("fuse", s, pi);
-}
-
-void StreamEngine::flush_extract_slot(std::size_t w, std::size_t total,
-                                      int s) {
-  if (engine_.balanced_) {
-    if (s == 0) flush_balanced_window(w, total);
-    return;
-  }
+void StreamEngine::flush_extract_slot(const Window& win, int s) {
   if (engine_.fused_) {
-    if (s == 0) flush_fused_window(w, total);
+    if (s == 0) flush_fused_window(win);
     return;
   }
   if (engine_.scenario_ == Scenario::kSharded) {
-    flush_shard_slot(w, total, s);
+    flush_shard_slot(win, s);
     return;
   }
-  const std::size_t count = window_count(w, total);
+  const std::size_t count = win.size();
   const auto cap = static_cast<std::uint32_t>(opts_.batch) *
                    (pipelined_ ? 2u : 1u);
   port::SPEInterface* iface = ensure_ring(extract_iface(s), cap);
   if (iface == nullptr) return;  // guarded + closed: resolved in the wait
   const int opcode = engine_.guarded_opcode(engine_.slots_[s]);
   for (std::size_t j = 0; j < count; ++j) {
-    iface->Enqueue(opcode, buf(w, j).sb[s].msg.ea());
+    iface->Enqueue(opcode, win[j]->sb[s].msg.ea());
   }
   flush_ring(iface);
 }
 
-void StreamEngine::wait_extract_slot(std::size_t w, std::size_t total,
-                                     int s) {
-  if (engine_.balanced_) {
-    if (s == 0) wait_balanced_window(w, total);
-    return;
-  }
+void StreamEngine::wait_extract_slot(const Window& win, int s) {
   if (engine_.fused_) {
-    if (s == 0) wait_fused_window(w, total);
+    if (s == 0) wait_fused_window(win);
     return;
   }
   if (engine_.scenario_ == Scenario::kSharded) {
-    wait_shard_slot(w, total, s);
+    wait_shard_slot(win, s);
     return;
   }
-  const std::size_t count = window_count(w, total);
-  port::SPEInterface* iface = extract_iface(s);
-  guard::GuardedInterface* gi = extract_guard(s);
-  if (iface == nullptr) {
-    // Guarded engine with the interface closed (every candidate SPE
-    // quarantined): the guard's per-call loop still yields verdicts,
-    // which drop to the PPE reference path.
-    for (std::size_t j = 0; j < count; ++j) rerun_extract(s, buf(w, j));
-    return;
-  }
-  std::vector<int> res;
-  const sim::SimTime timeout =
-      guard_deadline_ns_ > 0
-          ? guard_deadline_ns_ * static_cast<sim::SimTime>(count)
-          : -1;
-  if (!iface->WaitBatch(&res, timeout)) {
-    ++stats_.batch_timeouts;
-    iface->reclaim();
-    for (std::size_t j = 0; j < count; ++j) rerun_extract(s, buf(w, j));
-    return;
-  }
-  for (std::size_t j = 0; j < count; ++j) {
-    if (res[j] != port::SPEInterface::kRingFault) continue;
-    if (gi != nullptr) {
-      rerun_extract(s, buf(w, j));
-    } else {
-      throw_ring_fault("extract", iface);
-    }
-  }
+  wait_batch(extract_iface(s), win.size(), "extract",
+             [&](std::size_t j) { rerun_extract(s, *win[j]); });
 }
 
-void StreamEngine::run_detect(std::size_t w, std::size_t total) {
+void StreamEngine::run_detect(const Window& win) {
   sim::ScalarContext& ppe = engine_.machine_.ppe();
   if (engine_.fused_ || engine_.balanced_) {
     // Lane (or task) blobs must merge before detection can read the
     // feature vectors, whatever the scenario.
     probe::ProbeSpan span(engine_.prt(), probe::Phase::kReduce, ppe,
                           "fuse_reduce");
-    reduce_fused_window(w, total);
+    reduce_fused_window(win);
   }
   if (engine_.scenario_ == Scenario::kSharded) {
     // Partials must merge before detection can read the feature vectors.
     if (!engine_.fused_ && !engine_.balanced_) {
       probe::ProbeSpan span(engine_.prt(), probe::Phase::kReduce, ppe,
                             "reduce_window");
-      reduce_window(w, total);
+      reduce_window(win);
     }
     probe::ProbeSpan span(engine_.prt(), probe::Phase::kDetect, ppe,
                           "detect_blocks");
-    run_detect_sharded(w, total);
+    run_detect_sharded(win);
     return;
   }
   probe::ProbeSpan detect_span(engine_.prt(), probe::Phase::kDetect, ppe,
                                "detect");
-  const std::size_t count = window_count(w, total);
+  const std::size_t count = win.size();
   const auto spu_run = static_cast<int>(kernels::SPU_Run);
 
   if (engine_.scenario_ == Scenario::kMultiSPE2) {
@@ -913,34 +680,14 @@ void StreamEngine::run_detect(std::size_t w, std::size_t total) {
     const auto cap = static_cast<std::uint32_t>(opts_.batch);
     for (int s = 0; s < 4; ++s) {
       port::SPEInterface* iface = ensure_ring(detect_iface(s), cap);
-      guard::GuardedInterface* gi = detect_guard(s);
-      if (iface == nullptr) {
-        for (std::size_t j = 0; j < count; ++j) rerun_detect(s, buf(w, j));
-        continue;
-      }
-      for (std::size_t j = 0; j < count; ++j) {
-        iface->Enqueue(spu_run, buf(w, j).sb[s].detect_msg.ea());
-      }
-      flush_ring(iface);
-      std::vector<int> res;
-      const sim::SimTime timeout =
-          guard_deadline_ns_ > 0
-              ? guard_deadline_ns_ * static_cast<sim::SimTime>(count)
-              : -1;
-      if (!iface->WaitBatch(&res, timeout)) {
-        ++stats_.batch_timeouts;
-        iface->reclaim();
-        for (std::size_t j = 0; j < count; ++j) rerun_detect(s, buf(w, j));
-        continue;
-      }
-      for (std::size_t j = 0; j < count; ++j) {
-        if (res[j] != port::SPEInterface::kRingFault) continue;
-        if (gi != nullptr) {
-          rerun_detect(s, buf(w, j));
-        } else {
-          throw_ring_fault("detect", iface);
+      if (iface != nullptr) {
+        for (PerImage* pi : win) {
+          iface->Enqueue(spu_run, pi->sb[s].detect_msg.ea());
         }
+        flush_ring(iface);
       }
+      wait_batch(iface, count, "detect",
+                 [&](std::size_t j) { rerun_detect(s, *win[j]); });
     }
     return;
   }
@@ -949,53 +696,24 @@ void StreamEngine::run_detect(std::size_t w, std::size_t total) {
   // behind one doorbell.
   const auto cap = static_cast<std::uint32_t>(opts_.batch) * 4u;
   port::SPEInterface* iface = ensure_ring(detect_iface(0), cap);
-  guard::GuardedInterface* gi = detect_guard(0);
-  if (iface == nullptr) {
-    for (std::size_t j = 0; j < count; ++j) {
-      for (int s = 0; s < 4; ++s) rerun_detect(s, buf(w, j));
-    }
-    return;
-  }
-  for (std::size_t j = 0; j < count; ++j) {
-    for (int s = 0; s < 4; ++s) {
-      iface->Enqueue(spu_run, buf(w, j).sb[s].detect_msg.ea());
-    }
-  }
-  flush_ring(iface);
-  std::vector<int> res;
-  const sim::SimTime timeout =
-      guard_deadline_ns_ > 0
-          ? guard_deadline_ns_ * static_cast<sim::SimTime>(4 * count)
-          : -1;
-  if (!iface->WaitBatch(&res, timeout)) {
-    ++stats_.batch_timeouts;
-    iface->reclaim();
-    for (std::size_t j = 0; j < count; ++j) {
-      for (int s = 0; s < 4; ++s) rerun_detect(s, buf(w, j));
-    }
-    return;
-  }
-  for (std::size_t j = 0; j < count; ++j) {
-    for (int s = 0; s < 4; ++s) {
-      if (res[j * 4 + static_cast<std::size_t>(s)] !=
-          port::SPEInterface::kRingFault) {
-        continue;
-      }
-      if (gi != nullptr) {
-        rerun_detect(s, buf(w, j));
-      } else {
-        throw_ring_fault("detect", iface);
+  if (iface != nullptr) {
+    for (PerImage* pi : win) {
+      for (int s = 0; s < 4; ++s) {
+        iface->Enqueue(spu_run, pi->sb[s].detect_msg.ea());
       }
     }
+    flush_ring(iface);
   }
+  wait_batch(iface, 4 * count, "detect", [&](std::size_t i) {
+    rerun_detect(static_cast<int>(i % 4), *win[i / 4]);
+  });
 }
 
-void StreamEngine::collect_window(std::size_t w, std::size_t total,
+void StreamEngine::collect_window(const Window& win,
                                   std::vector<AnalysisResult>* out) {
-  const std::size_t count = window_count(w, total);
   sim::ScalarContext& ppe = engine_.machine_.ppe();
-  for (std::size_t j = 0; j < count; ++j) {
-    PerImage& pi = buf(w, j);
+  for (PerImage* p : win) {
+    PerImage& pi = *p;
     AnalysisResult result;
     features::FeatureVector* fvs[4] = {
         &result.color_histogram, &result.color_correlogram,
@@ -1163,14 +881,13 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
   const sim::SimTime t0 = ppe.now_ns();
   const std::size_t total_in = images.size();
   port::Profiler::Scope probe(engine_.profiler_, kPhaseStream);
-  // One trace covers the whole streamed batch: windows overlap, so a
+  // One trace covers the whole streamed batch: requests overlap, so a
   // per-image tree would mis-assign the shared PPE work.
   if (engine_.probe_ != nullptr) engine_.rt_.start("stream", t0);
-  probe::RequestTrace* rt = engine_.prt();
 
   // cellbalance: content-cache front end. Every queued image is
   // digested up front (inside the stream trace, as kCache spans); hits
-  // are served at lookup time and only the misses run the window loop.
+  // are served at lookup time and only the misses are streamed.
   // A serve concept clamp (opts_.max_models != 0) scores a prefix of
   // each model set, so clamped streams bypass the cache entirely rather
   // than serve or poison full-set entries.
@@ -1196,88 +913,12 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
     cold = images;
   }
 
-  const std::size_t total = cold.size();
-  results.reserve(total);
-  if (total > 0) {
-    const std::size_t W =
-        (total + static_cast<std::size_t>(opts_.batch) - 1) /
-        static_cast<std::size_t>(opts_.batch);
-    std::vector<sim::SimTime> win_sent(W, 0);
-
-    auto wait_window = [&](std::size_t w) {
-      probe::ProbeSpan span(rt, probe::Phase::kExtract, ppe,
-                            "wait_extract");
-      for (int s = 0; s < 4; ++s) {
-        wait_extract_slot(w, total, s);
-        engine_.rt_.add_spe_span(probe::Phase::kExtract,
-                                 std::string(engine_.slots_[s].name) +
-                                     "[w" + std::to_string(w) + "]",
-                                 win_sent[w], ppe.now_ns());
-      }
-    };
-    auto retire_window = [&](std::size_t w) {
-      run_detect(w, total);
-      probe::ProbeSpan span(rt, probe::Phase::kOutput, ppe,
-                            "collect_window");
-      collect_window(w, total, &results);
-    };
-
-    if (pipelined_) {
-      // Two windows in flight per extract ring: the PPE decodes and
-      // doorbells window w while the SPEs still extract window w-1.
-      for (std::size_t w = 0; w < W; ++w) {
-        {
-          probe::ProbeSpan span(rt, probe::Phase::kDecode, ppe,
-                                "prepare_window");
-          prepare_window(w, cold);
-        }
-        {
-          probe::ProbeSpan span(rt, probe::Phase::kDispatch, ppe,
-                                "flush_extract");
-          win_sent[w] = ppe.now_ns();
-          for (int s = 0; s < 4; ++s) flush_extract_slot(w, total, s);
-        }
-        if (w > 0) {
-          wait_window(w - 1);
-          retire_window(w - 1);
-        }
-      }
-      wait_window(W - 1);
-      retire_window(W - 1);
+  results.reserve(cold.size());
+  if (!cold.empty()) {
+    if (engine_.balanced_) {
+      run_balanced(cold, &results);
     } else {
-      // Guarded engines retire each window before the next doorbell so a
-      // per-request retry can reuse the legacy call path; scenario 1
-      // stays sequential at window granularity (each kernel's batch
-      // retires before the next kernel starts).
-      for (std::size_t w = 0; w < W; ++w) {
-        {
-          probe::ProbeSpan span(rt, probe::Phase::kDecode, ppe,
-                                "prepare_window");
-          prepare_window(w, cold);
-        }
-        if (engine_.scenario_ == Scenario::kSingleSPE) {
-          probe::ProbeSpan span(rt, probe::Phase::kExtract, ppe,
-                                "extract_seq");
-          win_sent[w] = ppe.now_ns();
-          for (int s = 0; s < 4; ++s) {
-            flush_extract_slot(w, total, s);
-            wait_extract_slot(w, total, s);
-            engine_.rt_.add_spe_span(probe::Phase::kExtract,
-                                     std::string(engine_.slots_[s].name) +
-                                         "[w" + std::to_string(w) + "]",
-                                     win_sent[w], ppe.now_ns());
-          }
-        } else {
-          {
-            probe::ProbeSpan span(rt, probe::Phase::kDispatch, ppe,
-                                  "flush_extract");
-            win_sent[w] = ppe.now_ns();
-            for (int s = 0; s < 4; ++s) flush_extract_slot(w, total, s);
-          }
-          wait_window(w);
-        }
-        retire_window(w);
-      }
+      run_windows(cold, &results);
     }
   }
   engine_.finish_request();
@@ -1320,6 +961,284 @@ std::vector<AnalysisResult> StreamEngine::run_queue(
       .gauge("stream.images_per_sec")
       .set(stats_.images_per_sec);
   return results;
+}
+
+void StreamEngine::run_windows(
+    const std::vector<const img::SicEncoded*>& images,
+    std::vector<AnalysisResult>* out) {
+  sim::ScalarContext& ppe = engine_.machine_.ppe();
+  probe::RequestTrace* rt = engine_.prt();
+  const std::size_t total = images.size();
+  const auto B = static_cast<std::size_t>(opts_.batch);
+  const std::size_t W = (total + B - 1) / B;
+  std::vector<sim::SimTime> win_sent(W, 0);
+
+  auto prepare = [&](std::size_t w) {
+    probe::ProbeSpan span(rt, probe::Phase::kDecode, ppe, "prepare_window");
+    const Window win = window(w, total);
+    for (std::size_t j = 0; j < win.size(); ++j) {
+      prepare_image(*win[j], *images[w * B + j]);
+    }
+  };
+  auto flush = [&](std::size_t w) {
+    probe::ProbeSpan span(rt, probe::Phase::kDispatch, ppe, "flush_extract");
+    win_sent[w] = ppe.now_ns();
+    const Window win = window(w, total);
+    for (int s = 0; s < 4; ++s) flush_extract_slot(win, s);
+  };
+  auto wait_window = [&](std::size_t w) {
+    probe::ProbeSpan span(rt, probe::Phase::kExtract, ppe, "wait_extract");
+    const Window win = window(w, total);
+    for (int s = 0; s < 4; ++s) {
+      wait_extract_slot(win, s);
+      engine_.rt_.add_spe_span(probe::Phase::kExtract,
+                               std::string(engine_.slots_[s].name) + "[w" +
+                                   std::to_string(w) + "]",
+                               win_sent[w], ppe.now_ns());
+    }
+  };
+  auto retire_window = [&](std::size_t w) {
+    const Window win = window(w, total);
+    run_detect(win);
+    probe::ProbeSpan span(rt, probe::Phase::kOutput, ppe, "collect_window");
+    collect_window(win, out);
+  };
+
+  if (pipelined_) {
+    // Two windows in flight per extract ring: the PPE decodes and
+    // doorbells window w while the SPEs still extract window w-1.
+    for (std::size_t w = 0; w < W; ++w) {
+      prepare(w);
+      flush(w);
+      if (w > 0) {
+        wait_window(w - 1);
+        retire_window(w - 1);
+      }
+    }
+    wait_window(W - 1);
+    retire_window(W - 1);
+    return;
+  }
+  // Guarded engines retire each window before the next doorbell so a
+  // per-request retry can reuse the legacy call path; scenario 1 stays
+  // sequential at window granularity (each kernel's batch retires before
+  // the next kernel starts).
+  for (std::size_t w = 0; w < W; ++w) {
+    prepare(w);
+    if (engine_.scenario_ == Scenario::kSingleSPE) {
+      probe::ProbeSpan span(rt, probe::Phase::kExtract, ppe, "extract_seq");
+      win_sent[w] = ppe.now_ns();
+      const Window win = window(w, total);
+      for (int s = 0; s < 4; ++s) {
+        flush_extract_slot(win, s);
+        wait_extract_slot(win, s);
+        engine_.rt_.add_spe_span(probe::Phase::kExtract,
+                                 std::string(engine_.slots_[s].name) +
+                                     "[w" + std::to_string(w) + "]",
+                                 win_sent[w], ppe.now_ns());
+      }
+    } else {
+      flush(w);
+      wait_window(w);
+    }
+    retire_window(w);
+  }
+}
+
+// ---- cellflow: the per-request balanced pipeline ----
+//
+// Extraction rides the fused lanes at TASK granularity: each request
+// contributes its tile-aligned task descriptors to one queue that rolls
+// across the stream (request-major), every lane holds at most one task
+// (Send/Finish), and whichever lane finishes first takes the next task —
+// so a lane that drew a small task steals ahead, into the next request
+// once that one is decoded, and a quarantined lane never gates a
+// request. Each in-flight task's completion is peeked once (one MMIO
+// charge) and cached. Reduction (reduce_fused_window) walks each
+// request's tasks in ascending row order, so results are bit-identical
+// to the static fused split whichever lane ran which task.
+
+StreamEngine::PerImage& StreamEngine::request_buf(std::size_t r) {
+  return *bufs_[r % bufs_.size()];
+}
+
+void StreamEngine::push_tasks(std::size_t r) {
+  sim::ScalarContext& ppe = engine_.machine_.ppe();
+  probe::ProbeSpan span(engine_.prt(), probe::Phase::kDispatch, ppe,
+                        "issue");
+  const PerImage& pi = request_buf(r);
+  std::size_t n = 0;
+  for (std::size_t t = 0; t < pi.fused_rows.size(); ++t) {
+    if (pi.fused_rows[t].empty()) continue;
+    tasks_.emplace_back(r, t);
+    ++n;
+  }
+  q_->add(n);
+  sent_.resize(tasks_.size(), 0);
+  left_[r] = n;
+  for (std::size_t k = 0; k < lanes_.size(); ++k) {
+    if (!q_->busy(k)) issue_task(k);
+  }
+}
+
+void StreamEngine::issue_task(std::size_t k) {
+  if (dead_[k] != 0 &&
+      std::count(dead_.begin(), dead_.end(), 0) > 0) {
+    return;  // live lanes take this lane's share
+  }
+  const std::size_t i = q_->issue(k);
+  if (i == balance::TaskQueue::kNone) return;
+  sent_[i] = engine_.machine_.ppe().now_ns();
+  stamp_[k] = -1;
+  const auto op = static_cast<int>(kernels::SPU_Run_Fused);
+  const std::uint64_t ea =
+      request_buf(tasks_[i].first).fused_msgs[tasks_[i].second].ea();
+  if (lanes_[k].gi != nullptr) {
+    lanes_[k].gi->Send(op, ea);
+  } else {
+    lanes_[k].iface->Send(op, ea);
+  }
+}
+
+sim::SimTime StreamEngine::lane_stamp(std::size_t k) {
+  if (stamp_[k] < 0) {
+    // Non-destructive: a hung or quarantined lane reports kNeverNs.
+    probe::ProbeSpan span(engine_.prt(), probe::Phase::kSteal,
+                          engine_.machine_.ppe(), "peek");
+    stamp_[k] = lanes_[k].gi != nullptr
+                    ? lanes_[k].gi->peek_ns()
+                    : lanes_[k].iface->peek_completion_ns();
+  }
+  return stamp_[k];
+}
+
+void StreamEngine::finish_task(std::size_t k) {
+  sim::ScalarContext& ppe = engine_.machine_.ppe();
+  const std::size_t i = q_->task_of(k);
+  const auto [r, t] = tasks_[i];
+  PerImage& pi = request_buf(r);
+  const std::string tag =
+      "task[" + std::to_string(r) + "." + std::to_string(t) + "]";
+  if (lanes_[k].gi != nullptr) {
+    const sim::SimTime finish_t0 = ppe.now_ns();
+    guard::GuardedInterface::Result res = lanes_[k].gi->Finish();
+    if (res.attempts > 1) {
+      stats_.request_retries += static_cast<std::size_t>(res.attempts - 1);
+      engine_.rt_.add_closed(probe::Phase::kGuardRetry, tag, finish_t0,
+                             ppe.now_ns());
+    }
+    if (!res.ok) {
+      fallback_fused_range(pi, t, "fuse[task" + std::to_string(t) + "]");
+      if (lanes_[k].gi->iface() == nullptr) dead_[k] = 1;
+    }
+  } else {
+    lanes_[k].iface->Wait();
+  }
+  engine_.rt_.add_spe_span(probe::Phase::kExtract, tag, sent_[i],
+                           ppe.now_ns());
+  q_->complete(k);
+  --left_[r];
+}
+
+std::size_t StreamEngine::earliest_lane(sim::SimTime by, std::size_t r) {
+  std::size_t best = balance::TaskQueue::kNone;
+  for (std::size_t k = 0; k < lanes_.size(); ++k) {
+    if (!q_->busy(k)) continue;
+    const sim::SimTime ts = lane_stamp(k);
+    const bool hung_elsewhere =
+        ts >= sim::kNeverNs && tasks_[q_->task_of(k)].first != r;
+    if (ts > by || hung_elsewhere) continue;
+    if (best == balance::TaskQueue::kNone || ts < stamp_[best]) best = k;
+  }
+  return best;
+}
+
+void StreamEngine::service_lanes() {
+  const std::size_t none = balance::TaskQueue::kNone;
+  sim::ScalarContext& ppe = engine_.machine_.ppe();
+  for (;;) {
+    const std::size_t k = earliest_lane(ppe.now_ns(), none);
+    if (k == none) return;
+    finish_task(k);
+    issue_task(k);
+  }
+}
+
+void StreamEngine::drain_request(std::size_t r) {
+  while (left_[r] > 0) {
+    // Any live lane may go first (finishing a later request's task early
+    // costs request r nothing), but a hung lane only when it holds one of
+    // r's tasks.
+    const std::size_t k = earliest_lane(sim::kNeverNs, r);
+    finish_task(k);
+    issue_task(k);
+  }
+}
+
+void StreamEngine::run_balanced(
+    const std::vector<const img::SicEncoded*>& images,
+    std::vector<AnalysisResult>* out) {
+  sim::ScalarContext& ppe = engine_.machine_.ppe();
+  probe::RequestTrace* rt = engine_.prt();
+  const std::size_t n = images.size();
+  lanes_ = engine_.fused_lanes();
+  tasks_.clear();
+  sent_.clear();
+  q_ = std::make_unique<balance::TaskQueue>(0, lanes_.size());
+  stamp_.assign(lanes_.size(), -1);
+  dead_.assign(lanes_.size(), 0);
+  left_.assign(n, 0);
+  const std::function<void()> service = [this] { service_lanes(); };
+
+  auto decode = [&](std::size_t r, bool overlapped) {
+    {
+      probe::ProbeSpan span(rt, probe::Phase::kDecode, ppe,
+                            "decode[" + std::to_string(r) + "]");
+      prepare_image(request_buf(r), *images[r],
+                    overlapped ? service : std::function<void()>{});
+    }
+    push_tasks(r);
+  };
+  try {
+    decode(0, false);
+    for (std::size_t r = 0; r < n; ++r) {
+      // Decode-ahead: request r+1's PPE decode overlaps request r's
+      // extraction, and its tasks queue behind r's for stealing.
+      if (decode_ahead_ && r + 1 < n) decode(r + 1, true);
+      {
+        probe::ProbeSpan span(rt, probe::Phase::kExtract, ppe, "drain");
+        drain_request(r);
+      }
+      const Window win{&request_buf(r)};
+      run_detect(win);
+      {
+        probe::ProbeSpan span(rt, probe::Phase::kOutput, ppe, "collect");
+        collect_window(win, out);
+      }
+      if (!decode_ahead_ && r + 1 < n) decode(r + 1, false);
+    }
+  } catch (...) {
+    // A malformed image or an unguarded kernel fault aborts the stream.
+    // Collect every task still on a lane first (best effort: the first
+    // error is the one reported), so the engine stays usable.
+    for (std::size_t k = 0; k < lanes_.size(); ++k) {
+      if (!q_->busy(k)) continue;
+      try {
+        if (lanes_[k].gi != nullptr) {
+          lanes_[k].gi->Finish();
+        } else {
+          lanes_[k].iface->Wait();
+        }
+      } catch (const cellport::Error&) {
+      }
+    }
+    q_.reset();
+    throw;
+  }
+  engine_.steal_tasks_counter_->add(q_->tasks());
+  engine_.steal_arms_counter_->add(q_->arms());
+  engine_.steal_steals_counter_->add(q_->steals());
+  q_.reset();
 }
 
 std::vector<AnalysisResult> CellEngine::analyze_stream(

@@ -7,13 +7,23 @@
 // command ring: a window of `batch` requests is enqueued with plain
 // stores and doorbelled with ONE mailbox word, and the SPE dispatcher
 // overlaps each request's output DMA with the next request's input DMA.
-// In the parallel scenarios two windows are kept in flight per ring —
-// the PPE decodes window w+1 while the SPEs extract window w — so the
-// rings stay non-empty and the protocol cost amortizes to ~1/batch of a
-// per-call run. Results are bit-exact with per-call analyze().
+// In the unguarded parallel scenarios two windows are kept in flight per
+// ring — the PPE decodes window w+1 while the SPEs extract window w — so
+// the rings stay non-empty and the protocol cost amortizes to ~1/batch
+// of a per-call run.
+//
+// cellflow: balanced engines (guarded or not) pipeline per REQUEST
+// instead. One task queue rolls across the whole stream; while the SPE
+// lanes extract request i, the PPE decodes request i+1 and, between its
+// decode slices, finishes every lane whose task is already done and
+// hands it the next task — stealing into request i+1's tasks once they
+// are queued. Request i retires (reduce, detect, collect, completion
+// stamp) as soon as its own tasks finish, not at the end of a window.
+// Results are bit-exact with per-call analyze() on every path.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,12 +64,13 @@ class StreamEngine {
   const StreamStats& stats() const { return stats_; }
   /// Per-request terminal states so far (index = submit order).
   const std::vector<RequestEnd>& request_ends() const { return ends_; }
-  /// Simulated completion time of each request of the last run()/drain()
-  /// (the collect time of its window; windows retire in order). With the
-  /// engine's content cache enabled, a hit completes at its up-front
-  /// lookup instead, so the stamps are NOT necessarily non-decreasing
-  /// when hits and misses interleave. Index-aligned with the returned
-  /// results.
+  /// Simulated completion time of each request of the last run()/drain():
+  /// its own collect time on a balanced engine (requests retire one by
+  /// one, in order), the collect time of its window otherwise (windows
+  /// retire in order). With the engine's content cache enabled, a hit
+  /// completes at its up-front lookup instead, so the stamps are NOT
+  /// necessarily non-decreasing when hits and misses interleave.
+  /// Index-aligned with the returned results.
   const std::vector<sim::SimTime>& completion_ns() const {
     return completions_;
   }
@@ -96,6 +107,10 @@ class StreamEngine {
     std::vector<shard::Range> fused_rows;
   };
 
+  /// The images one ring window (or one pipelined request) carries, in
+  /// request order.
+  using Window = std::vector<PerImage*>;
+
   port::SPEInterface* extract_iface(int s);
   port::SPEInterface* detect_iface(int s);
   guard::GuardedInterface* extract_guard(int s);
@@ -105,78 +120,99 @@ class StreamEngine {
   port::SPEInterface* ensure_ring(port::SPEInterface* iface,
                                   std::uint32_t cap);
 
-  std::size_t window_begin(std::size_t w) const;
-  std::size_t window_count(std::size_t w, std::size_t total) const;
-  PerImage& buf(std::size_t w, std::size_t j);
+  /// The buffers of window `w` of a `total`-request queue.
+  Window window(std::size_t w, std::size_t total);
 
   /// The shared streaming loop behind run() and drain().
   std::vector<AnalysisResult> run_queue(
       const std::vector<const img::SicEncoded*>& images);
-  /// Decodes window `w`'s images and fills their messages (the PPE-side
-  /// work that overlaps in-flight extraction in the pipelined flow).
-  void prepare_window(std::size_t w,
-                      const std::vector<const img::SicEncoded*>& images);
+  /// The window loop (per-feature, sharded and fused engines).
+  void run_windows(const std::vector<const img::SicEncoded*>& images,
+                   std::vector<AnalysisResult>* out);
+  /// Decodes one image into `pi` and fills its messages (the PPE-side
+  /// work that overlaps in-flight extraction in the pipelined flows).
+  /// `between_slices` runs between the PPE decode slices.
+  void prepare_image(PerImage& pi, const img::SicEncoded& image,
+                     const std::function<void()>& between_slices = {});
   int flush_ring(port::SPEInterface* iface);
-  /// Enqueues + doorbells window `w`'s requests for slot `s`'s extract
+  /// Collects the oldest in-flight batch of `n` requests on `iface` and
+  /// re-runs request i through `rerun(i)` when the ring could not
+  /// deliver it: every request on a missed batch deadline or a closed
+  /// (null) guarded interface, just the faulted ones otherwise (a fault
+  /// on an unguarded ring throws).
+  template <typename Rerun>
+  void wait_batch(port::SPEInterface* iface, std::size_t n,
+                  const char* stage, const Rerun& rerun);
+  /// Enqueues + doorbells the window's requests for slot `s`'s extract
   /// ring (one doorbell).
-  void flush_extract_slot(std::size_t w, std::size_t total, int s);
-  /// Waits slot `s`'s extract batch for window `w` and resolves
+  void flush_extract_slot(const Window& win, int s);
+  /// Waits slot `s`'s extract batch for the window and resolves
   /// per-request faults.
-  void wait_extract_slot(std::size_t w, std::size_t total, int s);
-  /// Runs window `w`'s detection batch(es) and resolves faults.
-  void run_detect(std::size_t w, std::size_t total);
+  void wait_extract_slot(const Window& win, int s);
+  /// Merges fused/balanced blobs or shard partials, then runs the
+  /// window's detection batch(es) and resolves faults.
+  void run_detect(const Window& win);
 
   // ---- cellshard flows (kSharded only) ----
   port::SPEInterface* shard_iface(int s, int k);
-  /// Enqueues + doorbells window `w`'s requests on every shard ring of
+  /// Enqueues + doorbells the window's requests on every shard ring of
   /// slot `s` (one doorbell per shard).
-  void flush_shard_slot(std::size_t w, std::size_t total, int s);
-  /// Waits slot `s`'s shard rings for window `w`; a faulted request is
+  void flush_shard_slot(const Window& win, int s);
+  /// Waits slot `s`'s shard rings for the window; a faulted request is
   /// re-run alone, dropping to the PPE mirror partial when the guard
   /// gives up.
-  void wait_shard_slot(std::size_t w, std::size_t total, int s);
+  void wait_shard_slot(const Window& win, int s);
   /// Merges every image's raw partials into its feature buffers (between
   /// the extract wait and detection).
-  void reduce_window(std::size_t w, std::size_t total);
+  void reduce_window(const Window& win);
   /// Block-parallel detection over the shard detection rings.
-  void run_detect_sharded(std::size_t w, std::size_t total);
+  void run_detect_sharded(const Window& win);
   void rerun_shard(int s, int k, PerImage& pi);
   void rerun_detect_block(int s, int b, PerImage& pi);
 
   // ---- cellfuse flows (engine_.fused() only) ----
-  /// Enqueues + doorbells window `w`'s requests on every fused lane ring
+  /// Enqueues + doorbells the window's requests on every fused lane ring
   /// (one doorbell per lane); extraction rides the lanes instead of the
   /// per-feature slots.
-  void flush_fused_window(std::size_t w, std::size_t total);
-  /// Waits every lane ring for window `w`; a faulted request is re-run
-  /// alone, dropping to the PPE mirror partials (all four sections of
-  /// that lane's blob) when the guard gives up.
-  void wait_fused_window(std::size_t w, std::size_t total);
-  /// Merges every image's lane-blob sections into its four feature
-  /// buffers (between the extract wait and detection).
-  void reduce_fused_window(std::size_t w, std::size_t total);
-  void rerun_fused_lane(std::size_t j, PerImage& pi);
-  void collect_window(std::size_t w, std::size_t total,
-                      std::vector<AnalysisResult>* out);
+  void flush_fused_window(const Window& win);
+  /// Waits every lane ring for the window; a faulted request is re-run
+  /// alone, dropping to the PPE mirror partials when the guard gives up.
+  void wait_fused_window(const Window& win);
+  /// Merges every image's lane (or task) blob sections into its four
+  /// feature buffers (between the extract wait and detection).
+  void reduce_fused_window(const Window& win);
+  void rerun_fused_lane(std::size_t k, PerImage& pi);
+  /// PPE mirror for fused range `k` of `pi` (a lane's or a task's), into
+  /// the four sections of its blob, after the guard gave up.
+  void fallback_fused_range(PerImage& pi, std::size_t k,
+                            const std::string& label);
+  void collect_window(const Window& win, std::vector<AnalysisResult>* out);
 
-  // ---- cellbalance flows (engine_.balanced() only) ----
-  /// Builds the window-wide task pool — every image's tile-aligned task
-  /// descriptors, image-major — and arms each lane with one descriptor.
-  /// Lanes finishing a small image's tasks steal into the next image's,
-  /// so one window-wide queue balances mixed-size traffic.
-  void flush_balanced_window(std::size_t w, std::size_t total);
-  /// The steal loop over the window pool: peek every in-flight
-  /// completion, finish the earliest lane, hand it the next descriptor.
-  void wait_balanced_window(std::size_t w, std::size_t total);
-  /// Sends the next unissued pool descriptor to lane `k` (no-op when the
-  /// pool is exhausted).
-  void balanced_issue(std::size_t w,
-                      const std::vector<CellEngine::FusedLane>& lanes,
-                      std::size_t k);
-  /// PPE mirror for one task's row range after the guard gave up (the
-  /// per-task analogue of rerun_fused_lane's fallback half; Finish()
-  /// already ran the retry loop).
-  void fallback_balanced_task(PerImage& pi, std::size_t t);
+  // ---- cellflow: the per-request balanced pipeline ----
+  /// Streams `images` through the rolling task queue (see the header
+  /// comment); appends one result per image to `out`, in order.
+  void run_balanced(const std::vector<const img::SicEncoded*>& images,
+                    std::vector<AnalysisResult>* out);
+  /// Queues decoded request `r`'s tasks and arms every idle lane.
+  void push_tasks(std::size_t r);
+  /// Hands lane `k` the next unissued task, if any. A lane whose guard
+  /// has no healthy SPE left gets none while a live lane remains.
+  void issue_task(std::size_t k);
+  /// The cached completion stamp of lane `k`'s task (peeked once).
+  sim::SimTime lane_stamp(std::size_t k);
+  /// The busy lane whose task completes earliest, no later than `by`;
+  /// a hung lane (kNeverNs) qualifies only while it holds a task of
+  /// request `r`. kNone when no lane qualifies.
+  std::size_t earliest_lane(sim::SimTime by, std::size_t r);
+  /// Collects lane `k`'s task (the guard verdict, PPE mirror on give-up).
+  void finish_task(std::size_t k);
+  /// Between decode slices: finishes every lane whose task completed by
+  /// the PPE's now, earliest first, re-issuing each.
+  void service_lanes();
+  /// Finishes request `r`'s tasks, servicing earlier-finishing lanes of
+  /// later requests on the way; a hung lane is resolved only here.
+  void drain_request(std::size_t r);
+  PerImage& request_buf(std::size_t r);
 
   // Per-request recovery (guarded engine): re-run just the affected
   // request through the guard's retry loop, dropping to the PPE
@@ -192,24 +228,34 @@ class StreamEngine {
   CellEngine& engine_;
   StreamOptions opts_;
   StreamStats stats_;
-  /// When true (unguarded parallel scenarios) two windows are in flight
-  /// per extract ring; the guarded and single-SPE flows retire each
-  /// window before the next doorbell.
+  /// When true (unguarded parallel window flows) two windows are in
+  /// flight per extract ring; the guarded and single-SPE window flows
+  /// retire each window before the next doorbell.
   bool pipelined_ = false;
+  /// Balanced engines: decode request i+1 while request i extracts.
+  bool decode_ahead_ = false;
   sim::SimTime guard_deadline_ns_ = 0;
-  std::vector<std::unique_ptr<PerImage>> bufs_[2];
+  /// Per-image buffers, one per request in flight: 2 x batch (pipelined
+  /// windows), batch (sequential windows), 2 or 1 (balanced pipeline).
+  /// Each decode reuses its buffer's pixel storage, so after the largest
+  /// shape has passed a stream allocates no image memory.
+  std::vector<std::unique_ptr<PerImage>> bufs_;
   /// kSharded: slot s's detection model blocks (fixed per engine — they
   /// depend only on the model count and the plan's detect_spes).
   std::vector<shard::Range> cd_blocks_[4];
   /// Models actually scored per slot (opts_.max_models clamp; the full
   /// set when the knob is 0).
   int scored_models_[4] = {0, 0, 0, 0};
-  /// cellbalance: the current window's task pool — (image slot, task)
-  /// pairs image-major — and its steal bookkeeping. Live only between
-  /// flush_balanced_window and the end of wait_balanced_window.
-  std::vector<std::pair<std::size_t, std::size_t>> bal_pool_;
-  std::unique_ptr<balance::TaskQueue> bal_q_;
-  std::vector<sim::SimTime> bal_sent_;
+  /// cellflow: the rolling task queue — every queued (request, task)
+  /// pair, request-major — and its per-task / per-lane / per-request
+  /// bookkeeping. Live only inside run_balanced().
+  std::vector<std::pair<std::size_t, std::size_t>> tasks_;
+  std::unique_ptr<balance::TaskQueue> q_;
+  std::vector<CellEngine::FusedLane> lanes_;
+  std::vector<sim::SimTime> sent_;   // per task: issue time
+  std::vector<sim::SimTime> stamp_;  // per lane: cached peek (< 0: none)
+  std::vector<char> dead_;           // per lane: guard has no SPE left
+  std::vector<std::size_t> left_;    // per request: unfinished tasks
   /// Incremental-admission state (submit/drain/close).
   std::vector<const img::SicEncoded*> pending_;
   std::vector<RequestEnd> ends_;

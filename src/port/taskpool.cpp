@@ -158,6 +158,7 @@ TaskPool::TaskPool(sim::Machine& machine, int num_workers)
                                 " workers");
   }
   start_ns_ = machine_.ppe().now_ns();
+  events_.resize(static_cast<std::size_t>(num_workers));
   // Worker envs must outlive the threads; keep them on the heap keyed by
   // worker index (freed in the destructor after join).
   for (int w = 0; w < num_workers; ++w) {
@@ -365,16 +366,60 @@ void TaskPool::pump_ready_tasks() {
 
 void TaskPool::post_completion(const CompletionEvent& ev) {
   std::lock_guard lock(ev_mu_);
-  events_.push_back(ev);
+  events_[static_cast<std::size_t>(ev.worker)].push_back(ev);
   ev_cv_.notify_one();
 }
 
 TaskPool::CompletionEvent TaskPool::wait_event() {
+  // Host threads post in whatever order the host schedules them, so the
+  // PPE waits until every worker that owes a completion has posted its
+  // next one and takes the earliest in simulated time (ties to the lower
+  // worker index): simulated time never depends on host scheduling.
+  // worker_outstanding_ is only written by this (the PPE) thread.
   std::unique_lock lock(ev_mu_);
-  ev_cv_.wait(lock, [&] { return !events_.empty(); });
-  CompletionEvent ev = events_.front();
-  events_.pop_front();
+  ev_cv_.wait(lock, [&] {
+    bool any = false;
+    for (std::size_t w = 0; w < events_.size(); ++w) {
+      if (!events_[w].empty()) {
+        any = true;
+      } else if (worker_outstanding_[w] > 0) {
+        return false;
+      }
+    }
+    return any;
+  });
+  std::size_t best = events_.size();
+  sim::SimTime best_ts = 0;
+  for (std::size_t w = 0; w < events_.size(); ++w) {
+    if (events_[w].empty()) continue;
+    bool timed_out = false;
+    const sim::SimTime ts = observe_ts(events_[w].front(), &timed_out);
+    if (best == events_.size() || ts < best_ts) {
+      best = w;
+      best_ts = ts;
+    }
+  }
+  CompletionEvent ev = std::move(events_[best].front());
+  events_[best].pop_front();
   return ev;
+}
+
+sim::SimTime TaskPool::observe_ts(const CompletionEvent& ev,
+                                  bool* timed_out) const {
+  // Deadline classification is purely simulated-time: a hung worker's
+  // event carries a kNeverNs timestamp, a slow one simply arrives past
+  // the policy deadline.
+  const TaskRecord& rec = tasks_[ev.task];
+  const bool hung = ev.ts >= sim::kNeverNs / 2;
+  const sim::SimTime deadline_ns = policy_set_ ? policy_.deadline_ns : 0;
+  *timed_out =
+      hung || (deadline_ns > 0 && ev.ts - rec.dispatch_ns > deadline_ns);
+  // The PPE observes a timed-out task at its deadline (or, for a hang
+  // with no configured deadline, right now) — never at the kNeverNs
+  // delivery timestamp, which would catapult the simulated clock.
+  if (!*timed_out) return ev.ts;
+  return deadline_ns > 0 ? rec.dispatch_ns + deadline_ns
+                         : machine_.ppe().now_ns();
 }
 
 void TaskPool::wait_all() {
@@ -400,24 +445,11 @@ void TaskPool::wait_all() {
     }
     CompletionEvent ev = wait_event();
     TaskRecord& rec = tasks_[ev.task];
-
-    // Deadline classification is purely simulated-time: a hung worker's
-    // event carries a kNeverNs timestamp, a slow one simply arrives past
-    // the policy deadline.
-    const bool hung = ev.ts >= sim::kNeverNs / 2;
     const sim::SimTime deadline_ns = policy_set_ ? policy_.deadline_ns : 0;
-    const bool timed_out =
-        hung || (deadline_ns > 0 && ev.ts - rec.dispatch_ns > deadline_ns);
-    // The PPE observes a timed-out task at its deadline (or, for a hang
-    // with no configured deadline, right now) — never at the kNeverNs
-    // delivery timestamp, which would catapult the simulated clock.
-    sim::SimTime observe_ts = ev.ts;
-    if (timed_out) {
-      observe_ts = deadline_ns > 0 ? rec.dispatch_ns + deadline_ns
-                                   : machine_.ppe().now_ns();
-    }
+    bool timed_out = false;
+    const sim::SimTime seen_ts = observe_ts(ev, &timed_out);
     // The PPE's event loop: interrupt delivery + MMIO acknowledgment.
-    machine_.ppe().sync_to(observe_ts + sim::calib::kInterruptLatencyNs);
+    machine_.ppe().sync_to(seen_ts + sim::calib::kInterruptLatencyNs);
     machine_.ppe().advance_ns(sim::calib::kPpeMmioCostNs);
 
     --outstanding_;

@@ -13,8 +13,9 @@
 //
 // Completion events reach the PPE through the libspe event-queue
 // facility (the interrupting-mailbox path of Listing 1, aggregated
-// across workers), carrying SPE timestamps so simulated time stays
-// deterministic.
+// across workers), carrying SPE timestamps; the PPE consumes them in
+// timestamp order, not host arrival order, so simulated time stays
+// deterministic however the host schedules the worker threads.
 #pragma once
 
 #include <condition_variable>
@@ -137,7 +138,11 @@ class TaskPool {
   static int worker_main(std::uint64_t spe_id, std::uint64_t argv);
   // Called from worker threads (the event-queue write).
   void post_completion(const CompletionEvent& ev);
+  /// The next completion in simulated-time order (see wait_event()).
   CompletionEvent wait_event();
+  /// When the PPE observes `ev`: its delivery stamp, or for a hung or
+  /// deadline-missing task the moment the deadline expires.
+  sim::SimTime observe_ts(const CompletionEvent& ev, bool* timed_out) const;
 
   // PPE-side dispatch (machine().ppe() charges apply).
   void dispatch(int worker, TaskId task);
@@ -175,7 +180,8 @@ class TaskPool {
 
   std::mutex ev_mu_;
   std::condition_variable ev_cv_;
-  std::deque<CompletionEvent> events_;
+  /// Posted, unconsumed completions per worker (each in posting order).
+  std::vector<std::deque<CompletionEvent>> events_;
 
   Stats stats_;
   sim::SimTime start_ns_ = 0;

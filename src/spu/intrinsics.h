@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 #include "spu/pipes.h"
 #include "spu/vec.h"
@@ -20,12 +21,21 @@ namespace cellport::spu {
 
 // ---- arithmetic (even pipe) ----
 
+/// Integer lanes add and subtract modulo 2^bits, like the hardware; the
+/// arithmetic runs in the unsigned type so a wrapping word lane is not
+/// signed overflow.
+template <typename T>
+using WrapType = std::conditional_t<std::is_integral_v<T>,
+                                    std::make_unsigned<T>,
+                                    std::type_identity<T>>::type;
+
 template <typename T, std::size_t N>
 Vec<T, N> spu_add(const Vec<T, N>& a, const Vec<T, N>& b) {
   charge_arith<T>();
   Vec<T, N> r;
   for (std::size_t i = 0; i < N; ++i)
-    r.v[i] = static_cast<T>(a.v[i] + b.v[i]);
+    r.v[i] = static_cast<T>(static_cast<WrapType<T>>(a.v[i]) +
+                            static_cast<WrapType<T>>(b.v[i]));
   return r;
 }
 
@@ -34,7 +44,8 @@ Vec<T, N> spu_sub(const Vec<T, N>& a, const Vec<T, N>& b) {
   charge_arith<T>();
   Vec<T, N> r;
   for (std::size_t i = 0; i < N; ++i)
-    r.v[i] = static_cast<T>(a.v[i] - b.v[i]);
+    r.v[i] = static_cast<T>(static_cast<WrapType<T>>(a.v[i]) -
+                            static_cast<WrapType<T>>(b.v[i]));
   return r;
 }
 
@@ -79,7 +90,8 @@ inline vec_ushort8 spu_mulhw(const vec_ushort8& a, const vec_ushort8& b) {
   charge_even(2);
   vec_ushort8 r;
   for (std::size_t i = 0; i < 8; ++i)
-    r.v[i] = static_cast<std::uint16_t>(a.v[i] * b.v[i]);
+    r.v[i] = static_cast<std::uint16_t>(static_cast<std::uint32_t>(a.v[i]) *
+                                        b.v[i]);
   return r;
 }
 
@@ -420,15 +432,27 @@ inline vec_float4 spu_sqrt(const vec_float4& a) {
 
 // ---- shuffle / quadword (odd pipe) ----
 
-/// Byte shuffle: result byte i = pattern byte < 16 ? a[p] : b[p-16].
-/// (Simplified: the hardware's special 0xC0/0xE0 patterns are not modeled.)
+/// Byte shuffle (shufb): pattern byte p selects byte p & 0x1F of the
+/// 32-byte concatenation a:b, except the special patterns — 10xxxxxx
+/// yields 0x00, 110xxxxx yields 0xFF and 111xxxxx yields 0x80.
 inline vec_uchar16 spu_shuffle(const vec_uchar16& a, const vec_uchar16& b,
                                const vec_uchar16& pattern) {
   charge_odd();
   vec_uchar16 r;
+  std::uint8_t special = 0;
   for (std::size_t i = 0; i < 16; ++i) {
-    std::uint8_t p = pattern.v[i] & 0x1F;
-    r.v[i] = p < 16 ? a.v[p] : b.v[p - 16];
+    const std::uint8_t k = pattern.v[i] & 0x1F;
+    r.v[i] = k < 16 ? a.v[k] : b.v[k - 16];
+    special |= pattern.v[i];
+  }
+  // Kernels rarely use the constant patterns; patch them in a second
+  // pass so the common case stays one select per byte on the host.
+  if ((special & 0x80) != 0) {
+    for (std::size_t i = 0; i < 16; ++i) {
+      const std::uint8_t p = pattern.v[i];
+      if ((p & 0x80) == 0) continue;
+      r.v[i] = (p & 0x40) == 0 ? 0x00 : (p & 0x20) == 0 ? 0xFF : 0x80;
+    }
   }
   return r;
 }

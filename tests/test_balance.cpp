@@ -106,6 +106,28 @@ TEST(BalanceQueue, ArmsThenStealsThenDrains) {
   EXPECT_EQ(q.arms() + q.steals(), 5u);
 }
 
+TEST(BalanceQueue, AddedTasksQueueBehindTheIssuedOnes) {
+  // The streaming pipeline starts empty and appends each decoded
+  // request's tasks; a drained queue resumes with steals, not arms.
+  balance::TaskQueue q(0, 2);
+  EXPECT_TRUE(q.done());
+  EXPECT_EQ(q.issue(0), balance::TaskQueue::kNone);
+  q.add(2);
+  EXPECT_EQ(q.issue(0), 0u);
+  EXPECT_EQ(q.issue(1), 1u);
+  q.complete(0);
+  EXPECT_EQ(q.issue(0), balance::TaskQueue::kNone);
+  q.add(1);
+  EXPECT_FALSE(q.done());
+  EXPECT_EQ(q.issue(0), 2u);
+  EXPECT_EQ(q.arms(), 2u);
+  EXPECT_EQ(q.steals(), 1u);
+  q.complete(0);
+  q.complete(1);
+  EXPECT_TRUE(q.done());
+  EXPECT_EQ(q.tasks(), 3u);
+}
+
 TEST(BalanceQueue, FewerTasksThanLanesLeavesLanesIdle) {
   balance::TaskQueue q(1, 4);
   EXPECT_EQ(q.issue(0), 0u);
@@ -329,8 +351,8 @@ TEST_F(BalancedEngine, StreamMatchesPerImageCalls) {
   for (std::size_t i = 0; i < streamed.size(); ++i) {
     expect_bitwise_equal(streamed[i], per_call.analyze(data.images[i]));
   }
-  // The window pool spans images, so steals cross image boundaries:
-  // more steals than a per-image dispatch could account for.
+  // The task queue rolls across requests, so steals cross image
+  // boundaries: more steals than a per-image dispatch could account for.
   EXPECT_GT(m2.metrics().counter("steal.steals").value(), 0u);
 }
 

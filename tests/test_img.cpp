@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <tuple>
+#include <utility>
 
 #include "img/codec.h"
 #include "img/color.h"
@@ -337,6 +338,178 @@ TEST(Codec, DecodeChargesPreprocessCost) {
   sic_decode(enc, &ctx);
   EXPECT_GT(ctx.now_ns(), 0.0);
   EXPECT_GT(ctx.meter().count(sim::OpClass::kMul), 0u);
+}
+
+TEST(RgbImage, ReshapeKeepsLargeEnoughStorageAndReadsZero) {
+  RgbImage img(64, 48);
+  std::memset(img.data(), 0xAB, img.bytes());
+  const std::uint8_t* old = img.data();
+  img.reshape(21, 30);
+  EXPECT_EQ(img.data(), old);
+  EXPECT_EQ(img.width(), 21);
+  EXPECT_EQ(img.height(), 30);
+  EXPECT_EQ(img.stride(), 64);
+  EXPECT_EQ(img.bytes(), RgbImage(21, 30).bytes());
+  for (std::size_t i = 0; i < img.bytes(); ++i) {
+    ASSERT_EQ(img.data()[i], 0) << i;
+  }
+  img.reshape(80, 60);
+  EXPECT_EQ(img.width(), 80);
+  EXPECT_EQ(img.bytes(), RgbImage(80, 60).bytes());
+  for (std::size_t i = 0; i < img.bytes(); ++i) {
+    ASSERT_EQ(img.data()[i], 0) << i;
+  }
+  EXPECT_THROW(img.reshape(0, 4), ConfigError);
+}
+
+// ---- resumable decode (SicDecoder) ----
+
+/// Everything a decode leaves behind: pixels, the per-class op counts,
+/// the final clock, and the error of a malformed stream.
+struct DecodeOutcome {
+  std::vector<std::uint8_t> pixels;
+  std::vector<std::uint64_t> counts;
+  double clock_ns = 0;
+  std::string error;
+  int slices = 0;
+};
+
+DecodeOutcome finish_outcome(sim::ScalarContext& ctx, const RgbImage* img) {
+  DecodeOutcome o;
+  if (img != nullptr) {
+    for (int y = 0; y < img->height(); ++y) {
+      o.pixels.insert(o.pixels.end(), img->row(y),
+                      img->row(y) + static_cast<std::size_t>(img->width()) *
+                                        3);
+    }
+  }
+  for (std::size_t c = 0; c < sim::kNumOpClasses; ++c) {
+    o.counts.push_back(ctx.meter().count(static_cast<sim::OpClass>(c)));
+  }
+  o.clock_ns = ctx.now_ns();
+  return o;
+}
+
+DecodeOutcome decode_one_shot(const SicEncoded& enc, bool io) {
+  sim::ScalarContext ctx(sim::cell_ppe());
+  try {
+    if (io) ctx.charge_io(enc.bytes.size(), /*open_file=*/true);
+    RgbImage img = sic_decode(enc, &ctx);
+    return finish_outcome(ctx, &img);
+  } catch (const IoError& e) {
+    DecodeOutcome o = finish_outcome(ctx, nullptr);
+    o.error = e.what();
+    return o;
+  }
+}
+
+DecodeOutcome decode_sliced(const SicEncoded& enc, bool io) {
+  sim::ScalarContext ctx(sim::cell_ppe());
+  int slices = 0;
+  try {
+    SicDecoder dec(enc, &ctx, io);
+    while (dec.step()) ++slices;
+    RgbImage img = dec.take();
+    DecodeOutcome o = finish_outcome(ctx, &img);
+    o.slices = slices + 1;
+    return o;
+  } catch (const IoError& e) {
+    DecodeOutcome o = finish_outcome(ctx, nullptr);
+    o.error = e.what();
+    o.slices = slices + 1;
+    return o;
+  }
+}
+
+void expect_same_decode(const DecodeOutcome& a, const DecodeOutcome& b) {
+  EXPECT_EQ(a.pixels, b.pixels);
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(a.clock_ns, b.clock_ns);
+  EXPECT_EQ(a.error, b.error);
+}
+
+TEST(SicDecoder, SlicedDecodeEqualsOneShot) {
+  for (int quality : {40, 85}) {
+    for (bool io : {false, true}) {
+      RgbImage img = synth_image(SceneKind::kTexture, 3, 37, 23);
+      SicEncoded enc = sic_encode(img, quality);
+      DecodeOutcome one = decode_one_shot(enc, io);
+      DecodeOutcome sliced = decode_sliced(enc, io);
+      expect_same_decode(one, sliced);
+      EXPECT_TRUE(one.error.empty());
+      // [disk read,] header + Huffman, then 3 channels x 3 block rows.
+      EXPECT_EQ(sliced.slices, (io ? 1 : 0) + 1 + 3 * 3);
+    }
+  }
+}
+
+TEST(SicDecoder, PpmCarrierIsOneSlice) {
+  SicEncoded enc = ppm_encode(synth_image(SceneKind::kGradient, 5, 40, 24));
+  DecodeOutcome one = decode_one_shot(enc, true);
+  DecodeOutcome sliced = decode_sliced(enc, true);
+  expect_same_decode(one, sliced);
+  EXPECT_EQ(sliced.slices, 2);
+}
+
+TEST(SicDecoder, MalformedStreamsThrowTheSameError) {
+  SicEncoded good = sic_encode(synth_image(SceneKind::kTexture, 9, 64, 48),
+                               80);
+  std::vector<SicEncoded> bad;
+  SicEncoded magic = good;
+  magic.bytes[0] = 'X';
+  bad.push_back(magic);
+  for (std::size_t keep : {std::size_t{5}, good.bytes.size() / 2,
+                           good.bytes.size() - 3}) {
+    SicEncoded truncated = good;
+    truncated.bytes.resize(keep);
+    bad.push_back(truncated);
+  }
+  for (std::size_t at : {good.bytes.size() / 3, good.bytes.size() * 2 / 3}) {
+    SicEncoded corrupt = good;
+    corrupt.bytes[at] ^= 0xA5;
+    corrupt.bytes[at + 1] ^= 0x5A;
+    bad.push_back(corrupt);
+  }
+  int threw = 0;
+  for (const SicEncoded& enc : bad) {
+    for (bool io : {false, true}) {
+      DecodeOutcome one = decode_one_shot(enc, io);
+      DecodeOutcome sliced = decode_sliced(enc, io);
+      expect_same_decode(one, sliced);
+      if (!one.error.empty()) ++threw;
+    }
+  }
+  // Magic and truncation always throw; a flipped byte pair may decode.
+  EXPECT_GE(threw, 8);
+}
+
+TEST(SicDecoder, RecycledStorageDecodesTheSame) {
+  // A larger image's buffer is reused; a smaller one's is replaced.
+  for (auto [w, h] : {std::pair{37, 23}, std::pair{120, 64}}) {
+    SicEncoded enc = sic_encode(synth_image(SceneKind::kShapes, 4, w, h));
+    for (bool io : {false, true}) {
+      RgbImage storage = synth_image(SceneKind::kTexture, 8, 64, 48);
+      const std::uint8_t* old = storage.data();
+      const bool fits = storage.bytes() >= RgbImage(w, h).bytes();
+      sim::ScalarContext ctx(sim::cell_ppe());
+      SicDecoder dec(enc, &ctx, io, std::move(storage));
+      while (dec.step()) {
+      }
+      RgbImage img = dec.take();
+      expect_same_decode(decode_one_shot(enc, io), finish_outcome(ctx, &img));
+      EXPECT_EQ(img.data() == old, fits);
+      EXPECT_EQ(img.width(), w);
+      EXPECT_EQ(img.height(), h);
+    }
+  }
+}
+
+TEST(SicDecoder, TakeBeforeTheLastSliceThrows) {
+  SicEncoded enc = sic_encode(synth_image(SceneKind::kGradient, 2, 16, 16));
+  SicDecoder dec(enc);
+  ASSERT_TRUE(dec.step());
+  EXPECT_FALSE(dec.done());
+  EXPECT_THROW(dec.take(), ConfigError);
 }
 
 // ---- convolution / Sobel ----

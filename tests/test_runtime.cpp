@@ -3,8 +3,11 @@
 // variant, and the kNN detection kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <thread>
+#include <vector>
 
 #include "features/color_histogram.h"
 #include "img/synth.h"
@@ -192,6 +195,20 @@ TEST(TaskPool, ParallelWorkersBeatOneWorker) {
   double one = makespan(1);
   double four = makespan(4);
   EXPECT_GT(one / four, 3.0);  // near-linear for independent tasks
+
+  // Completions are consumed in simulated-time order, so busy host
+  // threads (which reorder when the worker threads finish) change
+  // nothing simulated.
+  std::vector<std::jthread> burners;
+  const unsigned n = std::max(2u, std::thread::hardware_concurrency());
+  for (unsigned i = 0; i < n; ++i) {
+    burners.emplace_back([](std::stop_token stop) {
+      volatile std::uint64_t x = 0;
+      while (!stop.stop_requested()) x = x + 1;
+    });
+  }
+  EXPECT_EQ(makespan(4), four);
+  EXPECT_EQ(makespan(1), one);
 }
 
 TEST(TaskPool, RejectsBadConfig) {

@@ -198,6 +198,49 @@ TEST(SpuShuffle, BytePatterns) {
   EXPECT_EQ(r[15], 107);
 }
 
+// shufb conformance: one row per pattern-byte class of the SPU ISA. The
+// sources are a[i] = 0x10 + i and b[i] = 0x30 + i, so every selected
+// byte is distinguishable from the three special constants.
+struct ShufbCase {
+  std::uint8_t pattern;
+  std::uint8_t expect;
+  const char* rule;
+};
+constexpr ShufbCase kShufbTable[] = {
+    {0x00, 0x10, "0xxxxxxx, index 0 -> a[0]"},
+    {0x0F, 0x1F, "index 15 -> a[15]"},
+    {0x10, 0x30, "index 16 -> b[0]"},
+    {0x1F, 0x3F, "index 31 -> b[15]"},
+    {0x25, 0x15, "0x25: only the low 5 bits index -> a[5]"},
+    {0x7E, 0x3E, "0x7E: low 5 bits 30 -> b[14]"},
+    {0x80, 0x00, "10xxxxxx -> 0x00"},
+    {0xBF, 0x00, "10111111 -> 0x00"},
+    {0xC0, 0xFF, "110xxxxx -> 0xFF"},
+    {0xDF, 0xFF, "11011111 -> 0xFF"},
+    {0xE0, 0x80, "111xxxxx -> 0x80"},
+    {0xFF, 0x80, "11111111 -> 0x80"},
+};
+
+TEST(SpuShuffle, ShufbConformanceTable) {
+  vec_uchar16 a;
+  vec_uchar16 b;
+  for (std::size_t i = 0; i < 16; ++i) {
+    a.v[i] = static_cast<std::uint8_t>(0x10 + i);
+    b.v[i] = static_cast<std::uint8_t>(0x30 + i);
+  }
+  for (const ShufbCase& c : kShufbTable) {
+    // The case's pattern byte in every lane but one, which keeps a plain
+    // index so each row also checks the lanes stay independent.
+    vec_uchar16 p = spu_splats<vec_uchar16>(c.pattern);
+    p.v[3] = 0x02;
+    const vec_uchar16 r = spu_shuffle(a, b, p);
+    for (std::size_t i = 0; i < 16; ++i) {
+      EXPECT_EQ(r.v[i], i == 3 ? 0x12 : c.expect)
+          << c.rule << " (lane " << i << ")";
+    }
+  }
+}
+
 TEST(SpuShuffle, RotateQuadword) {
   vec_uchar16 a;
   for (int i = 0; i < 16; ++i) {

@@ -1,13 +1,16 @@
 // cellstream tests: the command ring (wraparound, batch-of-one cost
 // parity, metrics), the streaming engine (bit-exact with per-call
-// analyze, guarded per-request recovery, throughput), and TaskPool's
-// batched doorbell dispatch.
+// analyze, guarded per-request recovery, throughput, the per-request
+// balanced pipeline), and TaskPool's batched doorbell dispatch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "check/faults.h"
+#include "guard/policy.h"
 #include "img/color.h"
 #include "img/synth.h"
 #include "kernels/ch_kernel.h"
@@ -18,6 +21,7 @@
 #include "port/message.h"
 #include "port/spe_interface.h"
 #include "port/taskpool.h"
+#include "probe/request_trace.h"
 #include "sim/invariants.h"
 #include "sim/machine.h"
 #include "sim/spu_mfcio.h"
@@ -169,10 +173,12 @@ TEST(Ring, MultipleBatchesInFlightRetireInFifoOrder) {
 TEST(Ring, DrainOnCloseRetiresInFlightBatches) {
   sim::Machine machine;
   {
-    port::SPEInterface iface(ring_sum_module(), 0);
-    iface.set_ring_capacity(8);
+    // The buffers outlive the interface: its destructor drains the
+    // in-flight batch, whose kernels still read them.
     cellport::AlignedBuffer<std::uint8_t> host(64);
     port::WrappedMessage<FaultMsg> msg;
+    port::SPEInterface iface(ring_sum_module(), 0);
+    iface.set_ring_capacity(8);
     msg->ea = reinterpret_cast<std::uint64_t>(host.data());
     iface.Enqueue(1, msg.ea());
     iface.Enqueue(1, msg.ea());
@@ -410,6 +416,142 @@ TEST_F(Stream, CloseWithNothingPendingCancelsNothing) {
 }
 
 // ---- TaskPool batched dispatch ----
+
+// ---- cellflow: the per-request balanced pipeline ----
+
+/// Records when each streamed request's decode began (the pipeline's
+/// "decode[r]" spans).
+class DecodeStarts : public probe::ProbeSink {
+ public:
+  void on_request(const probe::RequestTrace& rt) override {
+    for (const probe::Span& span : rt.spans()) {
+      if (span.phase == probe::Phase::kDecode &&
+          span.label.rfind("decode[", 0) == 0) {
+        starts.push_back(span.begin);
+      }
+    }
+  }
+  std::vector<sim::SimTime> starts;
+};
+
+struct FlowRun {
+  std::vector<AnalysisResult> results;
+  std::vector<sim::SimTime> done;
+  std::vector<sim::SimTime> decode_starts;
+};
+
+/// One fault-free guarded + balanced stream (the production shape).
+FlowRun run_flow(const std::string& library, marvel::Scenario scenario,
+                 const std::vector<img::SicEncoded>& images,
+                 bool sequential = false) {
+  sim::Machine machine;
+  guard::GuardPolicy guard;
+  guard.enabled = true;
+  guard.retry.deadline_ns = 50e6;
+  marvel::CellEngine engine(machine, library, scenario,
+                            kernels::kDoubleBuffer, false, guard);
+  engine.set_balanced(true);
+  DecodeStarts sink;
+  engine.set_probe(&sink);
+  marvel::StreamOptions opts;
+  opts.batch = 4;
+  opts.sequential = sequential;
+  marvel::StreamEngine stream(engine, opts);
+  FlowRun run;
+  run.results = stream.run(images);
+  run.done = stream.completion_ns();
+  run.decode_starts = sink.starts;
+  EXPECT_TRUE(sim::check_machine_invariants(machine).empty());
+  return run;
+}
+
+TEST_F(Stream, GuardedBalancedStreamIsBitIdenticalToPerCallAnalyze) {
+  for (auto scenario :
+       {marvel::Scenario::kMultiSPE, marvel::Scenario::kSharded}) {
+    std::vector<AnalysisResult> want = per_call_reference(scenario);
+    for (bool sequential : {false, true}) {
+      FlowRun run =
+          run_flow(library_path(), scenario, dataset_->images, sequential);
+      ASSERT_EQ(run.results.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        expect_identical(run.results[i], want[i]);
+        EXPECT_TRUE(run.results[i].degraded.empty());
+      }
+    }
+  }
+}
+
+TEST_F(Stream, BalancedRequestsRetireOneByOneWhileTheNextDecodes) {
+  FlowRun run = run_flow(library_path(), marvel::Scenario::kMultiSPE,
+                         dataset_->images);
+  const std::size_t n = dataset_->images.size();
+  ASSERT_EQ(run.done.size(), n);
+  ASSERT_EQ(run.decode_starts.size(), n);
+  for (std::size_t i = 1; i < n; ++i) {
+    EXPECT_LT(run.done[i - 1], run.done[i]) << "request " << i;
+  }
+  // Request 0 retires before request 2's decode begins (no window
+  // barrier), yet request 1's decode began before request 0 retired
+  // (decode-ahead).
+  EXPECT_LE(run.done[0], run.decode_starts[2]);
+  EXPECT_LT(run.decode_starts[1], run.done[0]);
+
+  // opts.sequential keeps meaning "no decode-ahead".
+  FlowRun seq = run_flow(library_path(), marvel::Scenario::kMultiSPE,
+                         dataset_->images, /*sequential=*/true);
+  ASSERT_EQ(seq.decode_starts.size(), n);
+  EXPECT_GE(seq.decode_starts[1], seq.done[0]);
+  EXPECT_LT(run.done.back(), seq.done.back());
+}
+
+TEST_F(Stream, BalancedPipelineStampsIgnoreHostLoad) {
+  const std::vector<img::SicEncoded> images(dataset_->images.begin(),
+                                            dataset_->images.begin() + 4);
+  FlowRun idle =
+      run_flow(library_path(), marvel::Scenario::kMultiSPE, images);
+  FlowRun loaded;
+  {
+    // Busy host threads change which SPE thread finishes first on the
+    // host; the simulated schedule must not notice.
+    std::vector<std::jthread> burners;
+    const unsigned n = std::max(2u, std::thread::hardware_concurrency());
+    for (unsigned i = 0; i < n; ++i) {
+      burners.emplace_back([](std::stop_token stop) {
+        volatile std::uint64_t x = 0;
+        while (!stop.stop_requested()) x = x + 1;
+      });
+    }
+    loaded = run_flow(library_path(), marvel::Scenario::kMultiSPE, images);
+  }
+  EXPECT_EQ(idle.done, loaded.done);
+  EXPECT_EQ(idle.decode_starts, loaded.decode_starts);
+  ASSERT_EQ(idle.results.size(), loaded.results.size());
+  for (std::size_t i = 0; i < idle.results.size(); ++i) {
+    expect_identical(idle.results[i], loaded.results[i]);
+  }
+}
+
+TEST_F(Stream, MalformedImageMidPipelineLeavesTheEngineUsable) {
+  // Request 2's decode fails while request 1's tasks are on the lanes:
+  // the stream throws the decode error, and the lanes are drained so the
+  // same engine analyzes the next image exactly like a fresh one.
+  std::vector<img::SicEncoded> images(dataset_->images.begin(),
+                                      dataset_->images.begin() + 4);
+  images[2].bytes.resize(images[2].bytes.size() / 2);
+  sim::Machine machine;
+  guard::GuardPolicy guard;
+  guard.enabled = true;
+  guard.retry.deadline_ns = 50e6;
+  marvel::CellEngine engine(machine, library_path(),
+                            marvel::Scenario::kMultiSPE,
+                            kernels::kDoubleBuffer, false, guard);
+  engine.set_balanced(true);
+  EXPECT_THROW(engine.analyze_stream(images, {/*batch=*/4}, nullptr),
+               IoError);
+  std::vector<AnalysisResult> want =
+      per_call_reference(marvel::Scenario::kMultiSPE);
+  expect_identical(engine.analyze(dataset_->images[3]), want[3]);
+}
 
 TEST(TaskPoolBatch, BatchedSubmitMatchesLegacyWithFewerDoorbells) {
   constexpr int kTasks = 12;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -20,13 +21,17 @@
 namespace cellport::testutil {
 
 /// A model library written to gtest's temp dir, removed on destruction.
+/// The file name carries the process id: ctest runs every test case in
+/// its own process, in parallel, and two of them must never share (and
+/// remove) one file.
 /// `extra_concepts` < 0 writes the full library (34 inactive concepts
 /// per feature, the paper's 166-model store); small values keep
 /// model-load time negligible for tests that only need valid models.
 class TempLibrary {
  public:
   explicit TempLibrary(const std::string& name, int extra_concepts = -1)
-      : path_(::testing::TempDir() + "/" + name) {
+      : path_(::testing::TempDir() + "/" + std::to_string(::getpid()) +
+              "_" + name) {
     learn::MarvelModels models = learn::make_marvel_models();
     if (extra_concepts < 0) {
       learn::save_library(path_, models);
