@@ -30,6 +30,9 @@
 //   - and its per-image p50 latency is no worse than the static plan's;
 //   - balanced dispatch actually steals (steal.steals > 0) and every
 //     task is accounted (arms + steals == tasks);
+//   - once the guard has quarantined the hung SPE, balanced per-call
+//     analysis makes zero PPE fallbacks (the stranded lane gets no
+//     task while live lanes remain);
 //   - a fault-free guarded balanced stream's images/s does not decrease
 //     from batch 1 to 16 to 64 (the per-request pipeline overlaps decode
 //     with extraction whatever the admission batch);
@@ -39,6 +42,7 @@
 //     repeat hits, nothing else does);
 //   - a tiny-budget cache evicts rather than grow past its budget.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -89,6 +93,9 @@ struct QuarantineRun {
   double slack_ns = 0;
   double slack_share = 0;
   double images_per_sec = 0;
+  /// PPE fallbacks of the per-call images analyzed after the guard had
+  /// quarantined the hung SPE (-1: it never did).
+  double post_quarantine_fallbacks = -1;
   CellRun stream;  // kept alive for the metrics rollup
 };
 
@@ -104,10 +111,20 @@ QuarantineRun run_quarantined(const marvel::Dataset& data, bool balanced) {
   // deadline); analyze it outside the sample so p50 reflects steady
   // state for both variants.
   percall.engine->analyze(data.images[0]);
+  trace::Counter& fallbacks =
+      percall.machine->metrics().counter("guard.ppe_fallbacks");
   for (const auto& image : data.images) {
+    const bool quarantined =
+        percall.engine->health()->quarantined_count() > 0;
+    const std::uint64_t fallbacks0 = fallbacks.value();
     const double t0 = percall.machine->ppe().now_ns();
     percall.engine->analyze(image);
     lat.push_back(percall.machine->ppe().now_ns() - t0);
+    if (quarantined) {
+      out.post_quarantine_fallbacks =
+          std::max(out.post_quarantine_fallbacks, 0.0) +
+          static_cast<double>(fallbacks.value() - fallbacks0);
+    }
   }
   std::sort(lat.begin(), lat.end());
   out.p50_ns = percentile(lat, 50);
@@ -204,6 +221,10 @@ int main(int argc, char** argv) {
                                bm.counter("steal.steals").value(),
                        "every balanced task is accounted: arms + steals "
                        "== tasks");
+  ok &= artifact.shape(bal.post_quarantine_fallbacks == 0,
+                       "after quarantine discovery, balanced per-call "
+                       "analysis under a hung SPE makes zero PPE "
+                       "fallbacks");
 
   // ---- batch-size shape: the per-request pipeline ----
   // A balanced stream pipelines per request (decode of request i+1

@@ -71,6 +71,12 @@ class GuardedInterface {
   /// Null when the interface is currently closed.
   port::SPEInterface* iface() { return iface_.get(); }
 
+  /// True when the interface is closed and no candidate SPE could host
+  /// the module again: a Send() now fails straight to the PPE fallback.
+  bool stranded() const {
+    return iface_ == nullptr && health_.pick(candidates_, -1) < 0;
+  }
+
  private:
   void open_on(int spe);
   void close_current();

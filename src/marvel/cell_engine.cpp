@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "balance/digest.h"
 #include "balance/steal.h"
@@ -518,9 +519,7 @@ AnalysisResult CellEngine::analyze(const img::SicEncoded& image) {
     probe::ProbeSpan span(prt(), probe::Phase::kPrepare, ppe,
                           "fill_msgs");
     for (auto& slot : slots_) fill_image_msg(slot, pixels);
-    if (balanced_) {
-      prepare_balanced(pixels);
-    } else if (fused_) {
+    if (fused_ || balanced_) {
       prepare_fused(pixels);
     } else if (scenario_ == Scenario::kSharded) {
       prepare_shards(pixels);
@@ -866,42 +865,51 @@ void CellEngine::finish_shard(int i, int j, const img::RgbImage& pixels) {
 
 void CellEngine::reduce_slot(int i) {
   FeatureSlot& slot = slots_[i];
-  const int w = slot.msg->width;
-  const int h = slot.msg->height;
+  reduce_shards(i, slot.shard_rows, slot.shard_parts, slot.msg->width,
+                slot.msg->height, slot.out.data(), &machine_.ppe());
+}
+
+void CellEngine::reduce_shards(
+    int i, const std::vector<shard::Range>& rows,
+    const std::vector<cellport::AlignedBuffer<std::uint8_t>>& parts, int w,
+    int h, float* out, sim::ScalarContext* ppe) {
   // Empty shards (image smaller than the shard count) contribute nothing
   // and were never dispatched; reduce over the rest.
   std::vector<const std::uint32_t*> counts;
   std::vector<const double*> tiles;
   std::vector<int> tile_doubles;
-  for (std::size_t j = 0; j < slot.shard_parts.size(); ++j) {
-    if (slot.shard_rows[j].empty()) continue;
+  for (std::size_t j = 0; j < parts.size(); ++j) {
+    if (rows[j].empty()) continue;
     if (i == shard::kSlotTx) {
-      tiles.push_back(
-          reinterpret_cast<const double*>(slot.shard_parts[j].data()));
-      tile_doubles.push_back(shard::tx_partial_doubles(slot.shard_rows[j]));
+      tiles.push_back(reinterpret_cast<const double*>(parts[j].data()));
+      tile_doubles.push_back(shard::tx_partial_doubles(rows[j]));
     } else {
-      counts.push_back(reinterpret_cast<const std::uint32_t*>(
-          slot.shard_parts[j].data()));
+      counts.push_back(
+          reinterpret_cast<const std::uint32_t*>(parts[j].data()));
     }
   }
-  sim::ScalarContext* ppe = &machine_.ppe();
+  reduce_partials(i, counts, tiles, tile_doubles, w, h, out, ppe);
+}
+
+void CellEngine::reduce_partials(
+    int i, const std::vector<const std::uint32_t*>& counts,
+    const std::vector<const double*>& tiles,
+    const std::vector<int>& tile_doubles, int w, int h, float* out,
+    sim::ScalarContext* ppe) {
+  const auto n = static_cast<int>(counts.size());
   switch (i) {
     case shard::kSlotCh:
-      shard::reduce_ch(counts.data(), static_cast<int>(counts.size()), w,
-                       h, slot.out.data(), ppe);
+      shard::reduce_ch(counts.data(), n, w, h, out, ppe);
       break;
     case shard::kSlotCc:
-      shard::reduce_cc(counts.data(), static_cast<int>(counts.size()),
-                       slot.out.data(), ppe);
+      shard::reduce_cc(counts.data(), n, out, ppe);
       break;
     case shard::kSlotTx:
       shard::reduce_tx(tiles.data(), tile_doubles.data(),
-                       static_cast<int>(tiles.size()), w, h,
-                       slot.out.data(), ppe);
+                       static_cast<int>(tiles.size()), w, h, out, ppe);
       break;
     default:
-      shard::reduce_eh(counts.data(), static_cast<int>(counts.size()), w,
-                       h, slot.out.data(), ppe);
+      shard::reduce_eh(counts.data(), n, w, h, out, ppe);
       break;
   }
 }
@@ -981,7 +989,7 @@ void CellEngine::sharded_detect(FeatureSlot& slot) {
 // scenario uses, so fused results are bit-exact with the per-feature
 // kernels; detection then runs the scenario's normal schedule.
 
-std::vector<CellEngine::FusedLane> CellEngine::fused_lanes() {
+std::vector<FusedLane> CellEngine::fused_lanes() {
   std::vector<FusedLane> lanes;
   if (scenario_ == Scenario::kSharded) {
     // Slot-major over the extract-shard SPEs (every extract module
@@ -1025,13 +1033,17 @@ void CellEngine::prepare_fused(const img::RgbImage& pixels) {
     throw cellport::ConfigError(
         "image too small for the 4-level wavelet texture");
   }
-  const auto n = fused_lanes().size();
+  // A balanced engine splits the image into more, smaller task ranges
+  // than lanes; the fused_* members then hold one entry per task.
+  const auto lanes = static_cast<int>(fused_lanes().size());
+  fused_rows_ = balanced_ ? balance::split_tasks(h, lanes)
+                          : shard::split_fused(h, lanes);
+  const std::size_t n = fused_rows_.size();
   if (fused_msgs_.size() < n) {
     fused_msgs_ =
         std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
   }
   if (fused_parts_.size() < n) fused_parts_.resize(n);
-  fused_rows_ = shard::split_fused(h, static_cast<int>(n));
   std::uint64_t stores = 0;
   for (std::size_t j = 0; j < n; ++j) {
     const shard::Range& r = fused_rows_[j];
@@ -1065,10 +1077,7 @@ void CellEngine::analyze_fused(const img::RgbImage& pixels) {
   }
   {
     port::Profiler::Scope probe(profiler_, kPhaseShardReduce);
-    probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
-                          "fuse_reduce");
-    for (int i = 0; i < 4; ++i) reduce_fused_slot(i);
-    fuse_images_counter_->add(1);
+    reduce_fused_slots();
   }
   port::Profiler::Scope probe(profiler_, kPhaseDetect);
   fused_detect();
@@ -1103,7 +1112,21 @@ void CellEngine::wait_fused(const img::RgbImage& pixels) {
       }
       if (!r.ok) fused_fallback_lane(j, pixels);
     } else {
-      lanes[j].iface->Wait();
+      try {
+        lanes[j].iface->Wait();
+      } catch (const cellport::Error&) {
+        // An unguarded kernel fault aborts the image. Collect every
+        // other lane still in flight first (best effort: the first error
+        // is the one reported), so the next call can Send again.
+        for (std::size_t k = j + 1; k < lanes.size(); ++k) {
+          if (!lanes[k].iface->busy()) continue;
+          try {
+            lanes[k].iface->Wait();
+          } catch (const cellport::Error&) {
+          }
+        }
+        throw;
+      }
     }
     rt_.add_spe_span(probe::Phase::kExtract,
                      "fused[" + std::to_string(j) + "]", fused_send_ns_,
@@ -1115,13 +1138,17 @@ void CellEngine::fused_fallback_lane(std::size_t j,
                                      const img::RgbImage& pixels) {
   probe::ProbeSpan span(prt(), probe::Phase::kFallback, machine_.ppe(),
                         "fuse[" + std::to_string(j) + "]");
-  // Per-feature PPE partials for just this lane's range, written into
-  // the lane blob's four sections — the reduction can't tell them from
-  // SPE-delivered bytes (the mirrors are bit-exact and zero their
-  // sections first).
-  const shard::Range& range = fused_rows_[j];
-  auto* words = reinterpret_cast<std::uint32_t*>(fused_parts_[j].data());
-  sim::ScalarContext* ppe = &machine_.ppe();
+  mirror_fused_range(pixels, fused_rows_[j], fused_parts_[j].data(),
+                     &machine_.ppe());
+  for (auto& slot : slots_) note_degraded("fuse", slot);
+}
+
+void CellEngine::mirror_fused_range(const img::RgbImage& pixels,
+                                    const shard::Range& range,
+                                    std::uint8_t* blob,
+                                    sim::ScalarContext* ppe) {
+  // The reduction can't tell these sections from SPE-delivered bytes.
+  auto* words = reinterpret_cast<std::uint32_t*>(blob);
   shard::ppe_partial_ch(pixels, range, words, ppe);
   shard::ppe_partial_cc(pixels, range, words + kernels::kFusedCcOffset,
                         ppe);
@@ -1132,25 +1159,22 @@ void CellEngine::fused_fallback_lane(std::size_t j,
   if (!tx_rows.empty()) {
     shard::ppe_partial_tx(
         pixels, tx_rows,
-        reinterpret_cast<double*>(fused_parts_[j].data() +
-                                  kernels::kFusedCountBytes),
-        ppe);
+        reinterpret_cast<double*>(blob + kernels::kFusedCountBytes), ppe);
   }
-  for (auto& slot : slots_) note_degraded("fuse", slot);
 }
 
-void CellEngine::reduce_fused_slot(int i) {
-  FeatureSlot& slot = slots_[i];
-  const int w = slots_[0].msg->width;
-  const int h = slots_[0].msg->height;
+void CellEngine::reduce_fused(
+    int i, const std::vector<shard::Range>& rows,
+    const std::vector<cellport::AlignedBuffer<std::uint8_t>>& parts, int w,
+    int h, float* out, sim::ScalarContext* ppe) {
   std::vector<const std::uint32_t*> counts;
   std::vector<const double*> tiles;
   std::vector<int> tile_doubles;
-  for (std::size_t j = 0; j < fused_rows_.size(); ++j) {
-    const shard::Range& r = fused_rows_[j];
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    const shard::Range& r = rows[j];
     if (r.empty()) continue;
     const auto* words =
-        reinterpret_cast<const std::uint32_t*>(fused_parts_[j].data());
+        reinterpret_cast<const std::uint32_t*>(parts[j].data());
     switch (i) {
       case shard::kSlotCh:
         counts.push_back(words);
@@ -1160,7 +1184,7 @@ void CellEngine::reduce_fused_slot(int i) {
         break;
       case shard::kSlotTx:
         tiles.push_back(reinterpret_cast<const double*>(
-            fused_parts_[j].data() + kernels::kFusedCountBytes));
+            parts[j].data() + kernels::kFusedCountBytes));
         tile_doubles.push_back(
             kernels::fused_tx_doubles(w, h, r.begin, r.end));
         break;
@@ -1169,26 +1193,18 @@ void CellEngine::reduce_fused_slot(int i) {
         break;
     }
   }
-  sim::ScalarContext* ppe = &machine_.ppe();
-  switch (i) {
-    case shard::kSlotCh:
-      shard::reduce_ch(counts.data(), static_cast<int>(counts.size()), w,
-                       h, slot.out.data(), ppe);
-      break;
-    case shard::kSlotCc:
-      shard::reduce_cc(counts.data(), static_cast<int>(counts.size()),
-                       slot.out.data(), ppe);
-      break;
-    case shard::kSlotTx:
-      shard::reduce_tx(tiles.data(), tile_doubles.data(),
-                       static_cast<int>(tiles.size()), w, h,
-                       slot.out.data(), ppe);
-      break;
-    default:
-      shard::reduce_eh(counts.data(), static_cast<int>(counts.size()), w,
-                       h, slot.out.data(), ppe);
-      break;
+  reduce_partials(i, counts, tiles, tile_doubles, w, h, out, ppe);
+}
+
+void CellEngine::reduce_fused_slots() {
+  probe::ProbeSpan span(prt(), probe::Phase::kReduce, machine_.ppe(),
+                        "fuse_reduce");
+  for (int i = 0; i < 4; ++i) {
+    reduce_fused(i, fused_rows_, fused_parts_, slots_[0].msg->width,
+                 slots_[0].msg->height, slots_[i].out.data(),
+                 &machine_.ppe());
   }
+  fuse_images_counter_->add(1);
 }
 
 void CellEngine::fused_detect() {
@@ -1254,130 +1270,29 @@ void CellEngine::set_balanced(bool on) {
   }
 }
 
-void CellEngine::prepare_balanced(const img::RgbImage& pixels) {
-  const int h = pixels.height();
-  // Same precondition as prepare_fused: every wavelet level must split.
-  if (pixels.width() < (1 << features::kTextureLevels) ||
-      h < (1 << features::kTextureLevels)) {
-    throw cellport::ConfigError(
-        "image too small for the 4-level wavelet texture");
-  }
-  const auto lanes = static_cast<int>(fused_lanes().size());
-  fused_rows_ = balance::split_tasks(h, lanes);
-  const std::size_t n = fused_rows_.size();
-  if (fused_msgs_.size() < n) {
-    fused_msgs_ = std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
-  }
-  if (fused_parts_.size() < n) fused_parts_.resize(n);
-  sim::ScalarContext& ppe = machine_.ppe();
-  std::uint64_t stores = 0;
-  for (std::size_t t = 0; t < n; ++t) {
-    const shard::Range& r = fused_rows_[t];
-    const std::size_t bytes =
-        kernels::fused_partial_bytes(pixels.width(), h, r.begin, r.end);
-    if (fused_parts_[t].bytes() < bytes) {
-      fused_parts_[t] = cellport::AlignedBuffer<std::uint8_t>(bytes);
-    }
-    kernels::ImageMsg& m = *fused_msgs_[t];
-    m = *slots_[0].msg;
-    m.row_begin = r.begin;
-    m.row_end = r.end;
-    m.out_ea = reinterpret_cast<std::uint64_t>(fused_parts_[t].data());
-    stores += 4;
-  }
-  ppe.charge(sim::OpClass::kStore, stores);
-}
-
 void CellEngine::analyze_balanced(const img::RgbImage& pixels) {
-  sim::ScalarContext& ppe = machine_.ppe();
   {
     port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-    {
-      probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
-                         "arm_lanes");
-      arm_balanced();
-    }
-    drain_balanced(pixels);
+    StealLoop loop(machine_.ppe(), prt(), fused_lanes(),
+                   [this, &pixels](std::size_t, std::size_t t) {
+                     fused_fallback_lane(t, pixels);
+                   });
+    loop.push(0, fused_rows_, fused_msgs_);
+    loop.drain(0);
+    tally_steals(loop);
   }
   {
     port::Profiler::Scope probe(profiler_, kPhaseShardReduce);
-    probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
-                          "fuse_reduce");
-    for (int i = 0; i < 4; ++i) reduce_fused_slot(i);
-    fuse_images_counter_->add(1);
+    reduce_fused_slots();
   }
   port::Profiler::Scope probe(profiler_, kPhaseDetect);
   fused_detect();
 }
 
-void CellEngine::balanced_issue(const std::vector<FusedLane>& lanes,
-                                std::size_t k) {
-  const std::size_t t = bal_q_->issue(k);
-  if (t == balance::TaskQueue::kNone) return;
-  bal_sent_[t] = machine_.ppe().now_ns();
-  const auto op = static_cast<int>(kernels::SPU_Run_Fused);
-  if (lanes[k].gi != nullptr) {
-    lanes[k].gi->Send(op, fused_msgs_[t].ea());
-  } else {
-    lanes[k].iface->Send(op, fused_msgs_[t].ea());
-  }
-}
-
-void CellEngine::arm_balanced() {
-  std::vector<FusedLane> lanes = fused_lanes();
-  bal_q_ = std::make_unique<balance::TaskQueue>(fused_rows_.size(),
-                                                lanes.size());
-  bal_sent_.assign(fused_rows_.size(), 0);
-  fused_send_ns_ = machine_.ppe().now_ns();
-  for (std::size_t k = 0; k < lanes.size(); ++k) balanced_issue(lanes, k);
-}
-
-void CellEngine::drain_balanced(const img::RgbImage& pixels) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  std::vector<FusedLane> lanes = fused_lanes();
-  balance::TaskQueue& q = *bal_q_;
-  probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "steal_lanes");
-  std::vector<sim::SimTime> peeks(lanes.size(), sim::kNeverNs);
-  while (!q.done()) {
-    {
-      // Peek every in-flight completion timestamp without consuming it
-      // (one MMIO charge per busy lane, in lane order — deterministic)
-      // and pick the earliest finisher. A hung or quarantined lane peeks
-      // sim::kNeverNs and never wins while live lanes are in flight, so
-      // the remaining descriptors flow around it.
-      probe::ProbeSpan p(prt(), probe::Phase::kSteal, ppe, "pick");
-      for (std::size_t k = 0; k < lanes.size(); ++k) {
-        peeks[k] = q.busy(k)
-                       ? (lanes[k].gi != nullptr
-                              ? lanes[k].gi->peek_ns()
-                              : lanes[k].iface->peek_completion_ns())
-                       : sim::kNeverNs;
-      }
-    }
-    const std::size_t k = balance::pick_earliest(peeks, q);
-    const std::size_t t = q.task_of(k);
-    if (lanes[k].gi != nullptr) {
-      const sim::SimTime finish_t0 = ppe.now_ns();
-      guard::GuardedInterface::Result r = lanes[k].gi->Finish();
-      if (r.attempts > 1) {
-        rt_.add_closed(probe::Phase::kGuardRetry,
-                       "task[" + std::to_string(t) + "]", finish_t0,
-                       ppe.now_ns());
-      }
-      if (!r.ok) fused_fallback_lane(t, pixels);
-    } else {
-      lanes[k].iface->Wait();
-    }
-    rt_.add_spe_span(probe::Phase::kExtract,
-                     "task[" + std::to_string(t) + "]", bal_sent_[t],
-                     ppe.now_ns());
-    q.complete(k);
-    balanced_issue(lanes, k);
-  }
-  steal_tasks_counter_->add(q.tasks());
-  steal_arms_counter_->add(q.arms());
-  steal_steals_counter_->add(q.steals());
-  bal_q_.reset();
+void CellEngine::tally_steals(const StealLoop& loop) {
+  steal_tasks_counter_->add(loop.queue().tasks());
+  steal_arms_counter_->add(loop.queue().arms());
+  steal_steals_counter_->add(loop.queue().steals());
 }
 
 namespace {
@@ -1619,6 +1534,15 @@ std::vector<AnalysisResult> CellEngine::pipelined_cold(
   // i's kDecode phase — that is where the PPE's time really went.
   if (probe_ != nullptr) rt_.start("pipelined", ppe.now_ns());
   img::RgbImage current = decode(*images[0]);
+  // Balanced: image i is owner i of one steal loop; its tasks are pushed
+  // before the overlapped decode and drained after it.
+  std::optional<StealLoop> loop;
+  if (balanced_) {
+    loop.emplace(ppe, prt(), fused_lanes(),
+                 [this, &current](std::size_t, std::size_t t) {
+                   fused_fallback_lane(t, current);
+                 });
+  }
   for (std::size_t i = 0; i < images.size(); ++i) {
     if (probe_ != nullptr && !rt_.active()) {
       rt_.start("pipelined", ppe.now_ns());
@@ -1627,9 +1551,7 @@ std::vector<AnalysisResult> CellEngine::pipelined_cold(
       probe::ProbeSpan span(prt(), probe::Phase::kPrepare, ppe,
                             "fill_msgs");
       for (auto& slot : slots_) fill_image_msg(slot, current);
-      if (balanced_) {
-        prepare_balanced(current);
-      } else if (fused_) {
+      if (fused_ || balanced_) {
         prepare_fused(current);
       } else if (scenario_ == Scenario::kSharded) {
         prepare_shards(current);
@@ -1646,7 +1568,7 @@ std::vector<AnalysisResult> CellEngine::pipelined_cold(
       probe::ProbeSpan span(prt(), probe::Phase::kDispatch, ppe,
                             "send_extract");
       if (balanced_) {
-        arm_balanced();
+        loop->push(i, fused_rows_, fused_msgs_);
       } else if (fused_) {
         send_fused();
       } else if (scenario_ == Scenario::kSharded) {
@@ -1669,27 +1591,15 @@ std::vector<AnalysisResult> CellEngine::pipelined_cold(
     img::RgbImage next;
     if (i + 1 < images.size()) next = decode(*images[i + 1]);
 
-    if (balanced_) {
-      drain_balanced(current);
-      {
-        probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
-                              "fuse_reduce");
-        for (int si = 0; si < 4; ++si) reduce_fused_slot(si);
-        fuse_images_counter_->add(1);
-      }
-      fused_detect();
-    } else if (fused_) {
-      {
+    if (balanced_ || fused_) {
+      if (balanced_) {
+        loop->drain(i);
+      } else {
         probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe,
                               "fused_lanes");
         wait_fused(current);
       }
-      {
-        probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
-                              "fuse_reduce");
-        for (int si = 0; si < 4; ++si) reduce_fused_slot(si);
-        fuse_images_counter_->add(1);
-      }
+      reduce_fused_slots();
       fused_detect();
     } else if (scenario_ == Scenario::kSharded) {
       {
@@ -1791,6 +1701,7 @@ std::vector<AnalysisResult> CellEngine::pipelined_cold(
     results.push_back(std::move(result));
     if (i + 1 < images.size()) current = std::move(next);
   }
+  if (loop) tally_steals(*loop);
   return results;
 }
 

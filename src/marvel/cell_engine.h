@@ -35,6 +35,7 @@
 #include "learn/model_store.h"
 #include "marvel/reference_engine.h"
 #include "marvel/result.h"
+#include "marvel/steal_loop.h"
 #include "port/profiler.h"
 #include "port/spe_interface.h"
 #include "probe/request_trace.h"
@@ -194,11 +195,14 @@ class CellEngine {
   /// per lane. The image splits into MORE, smaller tile-aligned tasks
   /// (balance::split_tasks), every fused lane is armed with one, and
   /// each lane steals the next descriptor the moment its current task
-  /// completes — chosen by a non-consuming peek of every in-flight
-  /// completion timestamp, so a slow or quarantined SPE never gates the
-  /// batch. Reduction stays in fixed task order through the cellshard
-  /// reducers, so balanced results are bit-identical to the static
-  /// fused plan (and to the per-feature kernels). Implies the fused
+  /// completes — chosen by a non-consuming, once-per-task peek of every
+  /// in-flight completion timestamp, so a slow SPE never gates the
+  /// batch, and a lane the guard has stranded (quarantined, no healthy
+  /// SPE left) gets no task while a live lane remains (StealLoop, the
+  /// one loop behind analyze(), pipelined batches and streams).
+  /// Reduction stays in fixed task order through the cellshard reducers,
+  /// so balanced results are bit-identical to the static fused plan
+  /// (and to the per-feature kernels). Implies the fused
   /// kernel (no set_fused needed); off (the default) leaves every
   /// legacy path and its simulated time untouched.
   void set_balanced(bool on);
@@ -327,24 +331,32 @@ class CellEngine {
   void wait_shards(const img::RgbImage& pixels);
   /// Merges slot `i`'s raw partials into its normalized output buffer.
   void reduce_slot(int i);
+  /// Fixed-order merge of feature `i`'s shard partials (every non-empty
+  /// `rows[j]`'s `parts[j]`) into `out`. Shared with StreamEngine.
+  static void reduce_shards(
+      int i, const std::vector<shard::Range>& rows,
+      const std::vector<cellport::AlignedBuffer<std::uint8_t>>& parts,
+      int w, int h, float* out, sim::ScalarContext* ppe);
+  /// The cellshard reducer of feature `i` over gathered partials: count
+  /// sections for CH/CC/EH, Haar-tile sums for TX.
+  static void reduce_partials(int i,
+                              const std::vector<const std::uint32_t*>& counts,
+                              const std::vector<const double*>& tiles,
+                              const std::vector<int>& tile_doubles, int w,
+                              int h, float* out, sim::ScalarContext* ppe);
   /// Finish() for one guarded shard; PPE mirror partial on failure.
   void finish_shard(int i, int j, const img::RgbImage& pixels);
   /// Block-split detection for one slot over the detection interfaces.
   void sharded_detect(FeatureSlot& slot);
 
   // ---- cellfuse paths (no-ops unless set_fused(true)) ----
-  /// One fused extraction lane: an SPE already scheduled for extraction,
-  /// guarded or plain depending on the engine.
-  struct FusedLane {
-    port::SPEInterface* iface = nullptr;
-    guard::GuardedInterface* gi = nullptr;
-  };
   /// The scenario's fused lanes (kSingleSPE: slot 0's interface;
   /// kMultiSPE/kMultiSPE2: the four extract interfaces; kSharded: the
   /// extract-shard interfaces slot-major, capped at fused_plan_.lanes).
   std::vector<FusedLane> fused_lanes();
-  /// Computes the current image's lane ranges, (re)sizes the per-lane
-  /// partial blobs and fills the lane messages (after fill_image_msg).
+  /// Computes the current image's lane ranges (a balanced engine: its
+  /// finer task ranges, balance::split_tasks), (re)sizes the partial
+  /// blobs and fills the lane/task messages (after fill_image_msg).
   /// Throws ConfigError for images below 16x16, exactly like the TX
   /// kernel (a fused lane always computes the wavelet texture).
   void prepare_fused(const img::RgbImage& pixels);
@@ -355,39 +367,40 @@ class CellEngine {
   /// Dispatches every non-empty lane (guarded or not).
   void send_fused();
   /// Completion side of send_fused(); a guarded lane that exhausts its
-  /// retries is recomputed from `pixels` via the PPE shard mirrors.
+  /// retries is recomputed from `pixels` via the PPE shard mirrors. An
+  /// unguarded kernel fault collects every other pending lane before it
+  /// propagates, so the engine stays usable.
   void wait_fused(const img::RgbImage& pixels);
-  /// PPE mirror for one lane's row range: per-feature partials written
-  /// into the lane blob's four sections, bit-exact with the kernel.
+  /// PPE mirror for one lane's (or task's) row range, recorded as
+  /// degraded "fuse:<feature>".
   void fused_fallback_lane(std::size_t j, const img::RgbImage& pixels);
-  /// Merges every lane's blob section for slot `i` into its normalized
-  /// output buffer (the cellshard reducers, fed section pointers).
-  void reduce_fused_slot(int i);
+  /// Per-feature PPE partials for `range` written into the four sections
+  /// of a fused blob, bit-exact with the kernel (the mirrors zero their
+  /// sections first). Shared with StreamEngine's per-request blobs.
+  static void mirror_fused_range(const img::RgbImage& pixels,
+                                 const shard::Range& range,
+                                 std::uint8_t* blob, sim::ScalarContext* ppe);
+  /// Fixed-order merge of feature `i`'s sections of every non-empty
+  /// range's blob into `out` (the cellshard reducers, fed section
+  /// pointers). Shared with StreamEngine's per-request blobs.
+  static void reduce_fused(
+      int i, const std::vector<shard::Range>& rows,
+      const std::vector<cellport::AlignedBuffer<std::uint8_t>>& parts,
+      int w, int h, float* out, sim::ScalarContext* ppe);
+  /// The fused lanes' (or balanced tasks') reduction of all four
+  /// features into the slot output buffers.
+  void reduce_fused_slots();
   /// The scenario's detection schedule, shared by analyze_fused and the
   /// pipelined loop (identical to the per-feature paths' detection).
   void fused_detect();
 
   // ---- cellbalance paths (no-ops unless set_balanced(true)) ----
-  /// Computes the balanced task partition (balance::split_tasks) and
-  /// (re)sizes the per-TASK messages/blobs — the same fused_* members
-  /// the fused path uses, at task granularity, so reduce_fused_slot and
-  /// fused_fallback_lane work verbatim on task indices.
-  void prepare_balanced(const img::RgbImage& pixels);
-  /// The balanced per-image schedule: steal-driven fused lanes, PPE
+  /// The balanced per-image schedule: the image's tasks (the fused_*
+  /// members at task granularity) through one StealLoop owner, PPE
   /// reduction of all four features, the scenario's normal detection.
   void analyze_balanced(const img::RgbImage& pixels);
-  /// Hands lane `k` the next unissued task descriptor (Send); no-op when
-  /// the queue is exhausted.
-  void balanced_issue(const std::vector<FusedLane>& lanes, std::size_t k);
-  /// Arms every lane with its first task (the doorbell wave). Split from
-  /// drain_balanced so the pipelined loop can decode the next image
-  /// between the arm and the steal loop, like send_fused/wait_fused.
-  void arm_balanced();
-  /// The steal loop: peeks every in-flight completion timestamp,
-  /// finishes the earliest lane, hands it the next task, until the
-  /// queue drains. Guarded lanes that exhaust their retries drop to the
-  /// PPE mirror for just that task's range.
-  void drain_balanced(const img::RgbImage& pixels);
+  /// Adds a finished loop's task/arm/steal totals to the steal.* counters.
+  void tally_steals(const StealLoop& loop);
 
   // ---- cellbalance cache (no-ops unless set_cache(>0)) ----
   bool cache_on() const { return cache_ != nullptr && cache_->enabled(); }
@@ -453,11 +466,8 @@ class CellEngine {
   /// of the image it belongs to.
   std::vector<std::string> feed_pending_degraded_;
 
-  // cellbalance state. `bal_q_` lives only between arm_balanced and the
-  // end of drain_balanced (one image's steal-driven dispatch).
+  // cellbalance state.
   bool balanced_ = false;
-  std::unique_ptr<balance::TaskQueue> bal_q_;
-  std::vector<sim::SimTime> bal_sent_;
   std::unique_ptr<balance::ContentCache<AnalysisResult>> cache_;
   trace::Counter* steal_tasks_counter_ = nullptr;
   trace::Counter* steal_arms_counter_ = nullptr;

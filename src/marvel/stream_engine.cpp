@@ -16,30 +16,6 @@ std::size_t padded_dim(int dim) {
   return cellport::round_up(static_cast<std::size_t>(dim), 8);
 }
 
-/// Fixed-order merge of slot `s`'s partials into its feature vector:
-/// count sections for CH/CC/EH, Haar-tile sums for TX.
-void reduce_slot(int s, const std::vector<const std::uint32_t*>& counts,
-                 const std::vector<const double*>& tiles,
-                 const std::vector<int>& tile_doubles, int iw, int ih,
-                 float* out, sim::ScalarContext* ppe) {
-  const auto n = static_cast<int>(counts.size());
-  switch (s) {
-    case shard::kSlotCh:
-      shard::reduce_ch(counts.data(), n, iw, ih, out, ppe);
-      break;
-    case shard::kSlotCc:
-      shard::reduce_cc(counts.data(), n, out, ppe);
-      break;
-    case shard::kSlotTx:
-      shard::reduce_tx(tiles.data(), tile_doubles.data(),
-                       static_cast<int>(tiles.size()), iw, ih, out, ppe);
-      break;
-    default:
-      shard::reduce_eh(counts.data(), n, iw, ih, out, ppe);
-      break;
-  }
-}
-
 }  // namespace
 
 StreamEngine::StreamEngine(CellEngine& engine, const StreamOptions& opts)
@@ -355,26 +331,11 @@ void StreamEngine::reduce_window(const Window& win) {
   sim::ScalarContext* ppe = &engine_.machine_.ppe();
   for (PerImage* p : win) {
     PerImage& pi = *p;
-    const int iw = pi.pixels.width();
-    const int ih = pi.pixels.height();
     for (int s = 0; s < 4; ++s) {
       SlotBuf& sb = pi.sb[s];
-      std::vector<const std::uint32_t*> counts;
-      std::vector<const double*> tiles;
-      std::vector<int> tile_doubles;
-      for (std::size_t k = 0; k < sb.shard_parts.size(); ++k) {
-        if (sb.shard_rows[k].empty()) continue;
-        if (s == shard::kSlotTx) {
-          tiles.push_back(
-              reinterpret_cast<const double*>(sb.shard_parts[k].data()));
-          tile_doubles.push_back(
-              shard::tx_partial_doubles(sb.shard_rows[k]));
-        } else {
-          counts.push_back(reinterpret_cast<const std::uint32_t*>(
-              sb.shard_parts[k].data()));
-        }
-      }
-      reduce_slot(s, counts, tiles, tile_doubles, iw, ih, sb.out.data(), ppe);
+      CellEngine::reduce_shards(s, sb.shard_rows, sb.shard_parts,
+                                pi.pixels.width(), pi.pixels.height(),
+                                sb.out.data(), ppe);
     }
     engine_.shard_reduce_counter_->add(1);
   }
@@ -505,7 +466,7 @@ void StreamEngine::flush_fused_window(const Window& win) {
   const auto cap = static_cast<std::uint32_t>(opts_.batch) *
                    (pipelined_ ? 2u : 1u);
   const auto op = static_cast<int>(kernels::SPU_Run_Fused);
-  std::vector<CellEngine::FusedLane> lanes = engine_.fused_lanes();
+  std::vector<FusedLane> lanes = engine_.fused_lanes();
   for (std::size_t k = 0; k < lanes.size(); ++k) {
     port::SPEInterface* raw =
         lanes[k].gi != nullptr ? lanes[k].gi->iface() : lanes[k].iface;
@@ -523,7 +484,7 @@ void StreamEngine::flush_fused_window(const Window& win) {
 }
 
 void StreamEngine::wait_fused_window(const Window& win) {
-  std::vector<CellEngine::FusedLane> lanes = engine_.fused_lanes();
+  std::vector<FusedLane> lanes = engine_.fused_lanes();
   for (std::size_t k = 0; k < lanes.size(); ++k) {
     Window live;
     for (PerImage* pi : win) {
@@ -539,7 +500,7 @@ void StreamEngine::wait_fused_window(const Window& win) {
 
 void StreamEngine::rerun_fused_lane(std::size_t k, PerImage& pi) {
   ++stats_.request_retries;
-  std::vector<CellEngine::FusedLane> lanes = engine_.fused_lanes();
+  std::vector<FusedLane> lanes = engine_.fused_lanes();
   const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
   guard::GuardedInterface::Result r = lanes[k].gi->Call(
       static_cast<int>(kernels::SPU_Run_Fused), pi.fused_msgs[k].ea());
@@ -553,25 +514,9 @@ void StreamEngine::fallback_fused_range(PerImage& pi, std::size_t k,
                                         const std::string& label) {
   probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
                         engine_.machine_.ppe(), label);
-  // Per-feature PPE partials for just this range, into the blob's four
-  // sections (see CellEngine::fused_fallback_lane).
-  const shard::Range& range = pi.fused_rows[k];
-  auto* words = reinterpret_cast<std::uint32_t*>(pi.fused_parts[k].data());
-  sim::ScalarContext* ppe = &engine_.machine_.ppe();
-  shard::ppe_partial_ch(pi.pixels, range, words, ppe);
-  shard::ppe_partial_cc(pi.pixels, range,
-                        words + kernels::kFusedCcOffset, ppe);
-  shard::ppe_partial_eh(pi.pixels, range,
-                        words + kernels::kFusedEhOffset, ppe);
-  const int heff = 2 * (pi.pixels.height() / 2);
-  const shard::Range tx_rows{range.begin, std::min(range.end, heff)};
-  if (!tx_rows.empty()) {
-    shard::ppe_partial_tx(
-        pi.pixels, tx_rows,
-        reinterpret_cast<double*>(pi.fused_parts[k].data() +
-                                  kernels::kFusedCountBytes),
-        ppe);
-  }
+  CellEngine::mirror_fused_range(pi.pixels, pi.fused_rows[k],
+                                 pi.fused_parts[k].data(),
+                                 &engine_.machine_.ppe());
   for (int s = 0; s < 4; ++s) note_degraded("fuse", s, pi);
 }
 
@@ -579,37 +524,10 @@ void StreamEngine::reduce_fused_window(const Window& win) {
   sim::ScalarContext* ppe = &engine_.machine_.ppe();
   for (PerImage* p : win) {
     PerImage& pi = *p;
-    const int iw = pi.pixels.width();
-    const int ih = pi.pixels.height();
     for (int s = 0; s < 4; ++s) {
-      std::vector<const std::uint32_t*> counts;
-      std::vector<const double*> tiles;
-      std::vector<int> tile_doubles;
-      for (std::size_t k = 0; k < pi.fused_rows.size(); ++k) {
-        const shard::Range& r = pi.fused_rows[k];
-        if (r.empty()) continue;
-        const auto* words = reinterpret_cast<const std::uint32_t*>(
-            pi.fused_parts[k].data());
-        switch (s) {
-          case shard::kSlotCh:
-            counts.push_back(words);
-            break;
-          case shard::kSlotCc:
-            counts.push_back(words + kernels::kFusedCcOffset);
-            break;
-          case shard::kSlotTx:
-            tiles.push_back(reinterpret_cast<const double*>(
-                pi.fused_parts[k].data() + kernels::kFusedCountBytes));
-            tile_doubles.push_back(
-                kernels::fused_tx_doubles(iw, ih, r.begin, r.end));
-            break;
-          default:
-            counts.push_back(words + kernels::kFusedEhOffset);
-            break;
-        }
-      }
-      reduce_slot(s, counts, tiles, tile_doubles, iw, ih,
-                  pi.sb[s].out.data(), ppe);
+      CellEngine::reduce_fused(s, pi.fused_rows, pi.fused_parts,
+                               pi.pixels.width(), pi.pixels.height(),
+                               pi.sb[s].out.data(), ppe);
     }
     engine_.fuse_images_counter_->add(1);
   }
@@ -1047,132 +965,17 @@ void StreamEngine::run_windows(
 
 // ---- cellflow: the per-request balanced pipeline ----
 //
-// Extraction rides the fused lanes at TASK granularity: each request
-// contributes its tile-aligned task descriptors to one queue that rolls
-// across the stream (request-major), every lane holds at most one task
-// (Send/Finish), and whichever lane finishes first takes the next task —
-// so a lane that drew a small task steals ahead, into the next request
-// once that one is decoded, and a quarantined lane never gates a
-// request. Each in-flight task's completion is peeked once (one MMIO
-// charge) and cached. Reduction (reduce_fused_window) walks each
-// request's tasks in ascending row order, so results are bit-identical
-// to the static fused split whichever lane ran which task.
+// Extraction rides the fused lanes at TASK granularity through one
+// StealLoop that rolls across the stream: request r is owner r, its
+// tasks queue behind the earlier requests' as it is decoded, and the
+// loop is serviced between decode slices — so a lane that drew a small
+// task steals ahead, into the next request, and a quarantined lane never
+// gates a request. Reduction (reduce_fused_window) walks each request's
+// tasks in ascending row order, so results are bit-identical to the
+// static fused split whichever lane ran which task.
 
 StreamEngine::PerImage& StreamEngine::request_buf(std::size_t r) {
   return *bufs_[r % bufs_.size()];
-}
-
-void StreamEngine::push_tasks(std::size_t r) {
-  sim::ScalarContext& ppe = engine_.machine_.ppe();
-  probe::ProbeSpan span(engine_.prt(), probe::Phase::kDispatch, ppe,
-                        "issue");
-  const PerImage& pi = request_buf(r);
-  std::size_t n = 0;
-  for (std::size_t t = 0; t < pi.fused_rows.size(); ++t) {
-    if (pi.fused_rows[t].empty()) continue;
-    tasks_.emplace_back(r, t);
-    ++n;
-  }
-  q_->add(n);
-  sent_.resize(tasks_.size(), 0);
-  left_[r] = n;
-  for (std::size_t k = 0; k < lanes_.size(); ++k) {
-    if (!q_->busy(k)) issue_task(k);
-  }
-}
-
-void StreamEngine::issue_task(std::size_t k) {
-  if (dead_[k] != 0 &&
-      std::count(dead_.begin(), dead_.end(), 0) > 0) {
-    return;  // live lanes take this lane's share
-  }
-  const std::size_t i = q_->issue(k);
-  if (i == balance::TaskQueue::kNone) return;
-  sent_[i] = engine_.machine_.ppe().now_ns();
-  stamp_[k] = -1;
-  const auto op = static_cast<int>(kernels::SPU_Run_Fused);
-  const std::uint64_t ea =
-      request_buf(tasks_[i].first).fused_msgs[tasks_[i].second].ea();
-  if (lanes_[k].gi != nullptr) {
-    lanes_[k].gi->Send(op, ea);
-  } else {
-    lanes_[k].iface->Send(op, ea);
-  }
-}
-
-sim::SimTime StreamEngine::lane_stamp(std::size_t k) {
-  if (stamp_[k] < 0) {
-    // Non-destructive: a hung or quarantined lane reports kNeverNs.
-    probe::ProbeSpan span(engine_.prt(), probe::Phase::kSteal,
-                          engine_.machine_.ppe(), "peek");
-    stamp_[k] = lanes_[k].gi != nullptr
-                    ? lanes_[k].gi->peek_ns()
-                    : lanes_[k].iface->peek_completion_ns();
-  }
-  return stamp_[k];
-}
-
-void StreamEngine::finish_task(std::size_t k) {
-  sim::ScalarContext& ppe = engine_.machine_.ppe();
-  const std::size_t i = q_->task_of(k);
-  const auto [r, t] = tasks_[i];
-  PerImage& pi = request_buf(r);
-  const std::string tag =
-      "task[" + std::to_string(r) + "." + std::to_string(t) + "]";
-  if (lanes_[k].gi != nullptr) {
-    const sim::SimTime finish_t0 = ppe.now_ns();
-    guard::GuardedInterface::Result res = lanes_[k].gi->Finish();
-    if (res.attempts > 1) {
-      stats_.request_retries += static_cast<std::size_t>(res.attempts - 1);
-      engine_.rt_.add_closed(probe::Phase::kGuardRetry, tag, finish_t0,
-                             ppe.now_ns());
-    }
-    if (!res.ok) {
-      fallback_fused_range(pi, t, "fuse[task" + std::to_string(t) + "]");
-      if (lanes_[k].gi->iface() == nullptr) dead_[k] = 1;
-    }
-  } else {
-    lanes_[k].iface->Wait();
-  }
-  engine_.rt_.add_spe_span(probe::Phase::kExtract, tag, sent_[i],
-                           ppe.now_ns());
-  q_->complete(k);
-  --left_[r];
-}
-
-std::size_t StreamEngine::earliest_lane(sim::SimTime by, std::size_t r) {
-  std::size_t best = balance::TaskQueue::kNone;
-  for (std::size_t k = 0; k < lanes_.size(); ++k) {
-    if (!q_->busy(k)) continue;
-    const sim::SimTime ts = lane_stamp(k);
-    const bool hung_elsewhere =
-        ts >= sim::kNeverNs && tasks_[q_->task_of(k)].first != r;
-    if (ts > by || hung_elsewhere) continue;
-    if (best == balance::TaskQueue::kNone || ts < stamp_[best]) best = k;
-  }
-  return best;
-}
-
-void StreamEngine::service_lanes() {
-  const std::size_t none = balance::TaskQueue::kNone;
-  sim::ScalarContext& ppe = engine_.machine_.ppe();
-  for (;;) {
-    const std::size_t k = earliest_lane(ppe.now_ns(), none);
-    if (k == none) return;
-    finish_task(k);
-    issue_task(k);
-  }
-}
-
-void StreamEngine::drain_request(std::size_t r) {
-  while (left_[r] > 0) {
-    // Any live lane may go first (finishing a later request's task early
-    // costs request r nothing), but a hung lane only when it holds one of
-    // r's tasks.
-    const std::size_t k = earliest_lane(sim::kNeverNs, r);
-    finish_task(k);
-    issue_task(k);
-  }
 }
 
 void StreamEngine::run_balanced(
@@ -1181,64 +984,43 @@ void StreamEngine::run_balanced(
   sim::ScalarContext& ppe = engine_.machine_.ppe();
   probe::RequestTrace* rt = engine_.prt();
   const std::size_t n = images.size();
-  lanes_ = engine_.fused_lanes();
-  tasks_.clear();
-  sent_.clear();
-  q_ = std::make_unique<balance::TaskQueue>(0, lanes_.size());
-  stamp_.assign(lanes_.size(), -1);
-  dead_.assign(lanes_.size(), 0);
-  left_.assign(n, 0);
-  const std::function<void()> service = [this] { service_lanes(); };
+  // A malformed image or an unguarded kernel fault aborts the stream;
+  // the loop's destructor then collects every task still on a lane, so
+  // the engine stays usable.
+  StealLoop loop(ppe, rt, engine_.fused_lanes(),
+                 [this](std::size_t r, std::size_t t) {
+                   fallback_fused_range(request_buf(r), t,
+                                        "fuse[task" + std::to_string(t) +
+                                            "]");
+                 });
+  const std::function<void()> service = [&loop] { loop.service(); };
 
   auto decode = [&](std::size_t r, bool overlapped) {
+    PerImage& pi = request_buf(r);
     {
       probe::ProbeSpan span(rt, probe::Phase::kDecode, ppe,
                             "decode[" + std::to_string(r) + "]");
-      prepare_image(request_buf(r), *images[r],
+      prepare_image(pi, *images[r],
                     overlapped ? service : std::function<void()>{});
     }
-    push_tasks(r);
+    loop.push(r, pi.fused_rows, pi.fused_msgs);
   };
-  try {
-    decode(0, false);
-    for (std::size_t r = 0; r < n; ++r) {
-      // Decode-ahead: request r+1's PPE decode overlaps request r's
-      // extraction, and its tasks queue behind r's for stealing.
-      if (decode_ahead_ && r + 1 < n) decode(r + 1, true);
-      {
-        probe::ProbeSpan span(rt, probe::Phase::kExtract, ppe, "drain");
-        drain_request(r);
-      }
-      const Window win{&request_buf(r)};
-      run_detect(win);
-      {
-        probe::ProbeSpan span(rt, probe::Phase::kOutput, ppe, "collect");
-        collect_window(win, out);
-      }
-      if (!decode_ahead_ && r + 1 < n) decode(r + 1, false);
+  decode(0, false);
+  for (std::size_t r = 0; r < n; ++r) {
+    // Decode-ahead: request r+1's PPE decode overlaps request r's
+    // extraction, and its tasks queue behind r's for stealing.
+    if (decode_ahead_ && r + 1 < n) decode(r + 1, true);
+    loop.drain(r);
+    const Window win{&request_buf(r)};
+    run_detect(win);
+    {
+      probe::ProbeSpan span(rt, probe::Phase::kOutput, ppe, "collect");
+      collect_window(win, out);
     }
-  } catch (...) {
-    // A malformed image or an unguarded kernel fault aborts the stream.
-    // Collect every task still on a lane first (best effort: the first
-    // error is the one reported), so the engine stays usable.
-    for (std::size_t k = 0; k < lanes_.size(); ++k) {
-      if (!q_->busy(k)) continue;
-      try {
-        if (lanes_[k].gi != nullptr) {
-          lanes_[k].gi->Finish();
-        } else {
-          lanes_[k].iface->Wait();
-        }
-      } catch (const cellport::Error&) {
-      }
-    }
-    q_.reset();
-    throw;
+    if (!decode_ahead_ && r + 1 < n) decode(r + 1, false);
   }
-  engine_.steal_tasks_counter_->add(q_->tasks());
-  engine_.steal_arms_counter_->add(q_->arms());
-  engine_.steal_steals_counter_->add(q_->steals());
-  q_.reset();
+  stats_.request_retries += loop.retries();
+  engine_.tally_steals(loop);
 }
 
 std::vector<AnalysisResult> CellEngine::analyze_stream(

@@ -193,25 +193,6 @@ class StreamEngine {
   /// comment); appends one result per image to `out`, in order.
   void run_balanced(const std::vector<const img::SicEncoded*>& images,
                     std::vector<AnalysisResult>* out);
-  /// Queues decoded request `r`'s tasks and arms every idle lane.
-  void push_tasks(std::size_t r);
-  /// Hands lane `k` the next unissued task, if any. A lane whose guard
-  /// has no healthy SPE left gets none while a live lane remains.
-  void issue_task(std::size_t k);
-  /// The cached completion stamp of lane `k`'s task (peeked once).
-  sim::SimTime lane_stamp(std::size_t k);
-  /// The busy lane whose task completes earliest, no later than `by`;
-  /// a hung lane (kNeverNs) qualifies only while it holds a task of
-  /// request `r`. kNone when no lane qualifies.
-  std::size_t earliest_lane(sim::SimTime by, std::size_t r);
-  /// Collects lane `k`'s task (the guard verdict, PPE mirror on give-up).
-  void finish_task(std::size_t k);
-  /// Between decode slices: finishes every lane whose task completed by
-  /// the PPE's now, earliest first, re-issuing each.
-  void service_lanes();
-  /// Finishes request `r`'s tasks, servicing earlier-finishing lanes of
-  /// later requests on the way; a hung lane is resolved only here.
-  void drain_request(std::size_t r);
   PerImage& request_buf(std::size_t r);
 
   // Per-request recovery (guarded engine): re-run just the affected
@@ -246,16 +227,6 @@ class StreamEngine {
   /// Models actually scored per slot (opts_.max_models clamp; the full
   /// set when the knob is 0).
   int scored_models_[4] = {0, 0, 0, 0};
-  /// cellflow: the rolling task queue — every queued (request, task)
-  /// pair, request-major — and its per-task / per-lane / per-request
-  /// bookkeeping. Live only inside run_balanced().
-  std::vector<std::pair<std::size_t, std::size_t>> tasks_;
-  std::unique_ptr<balance::TaskQueue> q_;
-  std::vector<CellEngine::FusedLane> lanes_;
-  std::vector<sim::SimTime> sent_;   // per task: issue time
-  std::vector<sim::SimTime> stamp_;  // per lane: cached peek (< 0: none)
-  std::vector<char> dead_;           // per lane: guard has no SPE left
-  std::vector<std::size_t> left_;    // per request: unfinished tasks
   /// Incremental-admission state (submit/drain/close).
   std::vector<const img::SicEncoded*> pending_;
   std::vector<RequestEnd> ends_;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -383,29 +384,168 @@ TEST_F(BalancedEngine, GuardedStreamStealsAroundAFaultedLane) {
   EXPECT_GE(stats.request_retries, 1u);
 }
 
+/// A guarded kSharded engine whose SPE 0 (fused lane 0) never answers
+/// again: the quarantine target of the tests below.
+struct HungLaneEngine {
+  explicit HungLaneEngine(const std::string& library,
+                          Scenario scenario = Scenario::kSharded,
+                          int num_spes = 8, int hung_spes = 1)
+      : machine(sim::Machine::Config{num_spes}) {
+    guard::GuardPolicy guard;
+    guard.enabled = true;
+    guard.retry.deadline_ns = 50e6;
+    sim::FaultInjection f;
+    f.hang_after = 0;
+    f.hang_sticky = true;
+    f.clears_on_restart = false;
+    for (int s = 0; s < hung_spes; ++s) machine.spe(s).inject_fault(f);
+    engine = std::make_unique<CellEngine>(machine, library, scenario,
+                                          kernels::kDoubleBuffer, false,
+                                          guard);
+    engine->set_balanced(true);
+  }
+  std::uint64_t counter(const char* name) {
+    return machine.metrics().counter(name).value();
+  }
+  /// Analyzes `image` until the guard has quarantined a hung SPE. Under
+  /// the default policy that takes two calls: the first call's retries
+  /// spend the one context restart, the second call's fault is the
+  /// second strike.
+  void discover(const img::SicEncoded& image) {
+    for (int call = 0; call < 3 && counter("guard.quarantined_spes") == 0;
+         ++call) {
+      engine->analyze(image);
+    }
+    ASSERT_GT(counter("guard.quarantined_spes"), 0u);
+  }
+  void expect_steal_ledger_balances() {
+    EXPECT_EQ(counter("steal.tasks"),
+              counter("steal.arms") + counter("steal.steals"));
+  }
+  sim::Machine machine;
+  std::unique_ptr<CellEngine> engine;
+};
+
 TEST_F(BalancedEngine, QuarantinedLaneDrainsThroughTheOthers) {
   sim::Machine plain;
   CellEngine baseline(plain, library_path(), Scenario::kSharded);
   AnalysisResult want = baseline.analyze(dataset_->images[0]);
 
-  sim::Machine machine;
-  guard::GuardPolicy guard;
-  guard.enabled = true;
-  guard.retry.deadline_ns = 50e6;
-  sim::FaultInjection f;
-  f.hang_after = 0;  // lane 0's SPE never answers again
-  f.hang_sticky = true;
-  f.clears_on_restart = false;
-  machine.spe(0).inject_fault(f);
-  CellEngine engine(machine, library_path(), Scenario::kSharded,
-                    kernels::kDoubleBuffer, false, guard);
-  engine.set_balanced(true);
-  AnalysisResult got = engine.analyze(dataset_->images[0]);
+  HungLaneEngine hung(library_path());
+  AnalysisResult got = hung.engine->analyze(dataset_->images[0]);
   // The hung lane's task degrades to the PPE mirror; every OTHER task
   // steals onto live lanes and the reduction still matches bit-exactly.
   expect_bitwise_equal(got, want);
   ASSERT_GE(got.degraded.size(), 4u);
   EXPECT_EQ(got.degraded[0], "fuse:color_histogram");
+
+  // Once quarantined, the stranded lane gets no task at all: the next
+  // call runs undegraded on the live lanes, with no PPE fallback.
+  hung.discover(dataset_->images[0]);
+  EXPECT_EQ(hung.counter("guard.quarantined_spes"), 1u);
+  const std::uint64_t fallbacks = hung.counter("guard.ppe_fallbacks");
+  AnalysisResult again = hung.engine->analyze(dataset_->images[1]);
+  expect_bitwise_equal(again, baseline.analyze(dataset_->images[1]));
+  EXPECT_TRUE(again.degraded.empty());
+  EXPECT_EQ(hung.counter("guard.ppe_fallbacks"), fallbacks);
+  hung.expect_steal_ledger_balances();
+}
+
+TEST_F(BalancedEngine, PipelinedBatchSkipsTheQuarantinedLane) {
+  sim::Machine plain;
+  CellEngine baseline(plain, library_path(), Scenario::kSharded);
+  HungLaneEngine hung(library_path());
+  // Two discovery images, then the batch proper: only the discovery
+  // images degrade.
+  std::vector<img::SicEncoded> images = {
+      dataset_->images[0], dataset_->images[0], dataset_->images[0],
+      dataset_->images[1], dataset_->images[0]};
+  std::vector<AnalysisResult> got =
+      hung.engine->analyze_batch_pipelined(images);
+  ASSERT_EQ(got.size(), images.size());
+  EXPECT_EQ(hung.counter("guard.quarantined_spes"), 1u);
+  std::size_t degraded = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_bitwise_equal(got[i], baseline.analyze(images[i]));
+    EXPECT_EQ(got[i].degraded.empty(), i >= 2) << "image " << i;
+    degraded += got[i].degraded.size();
+  }
+  EXPECT_EQ(hung.counter("guard.ppe_fallbacks"), degraded);
+  hung.expect_steal_ledger_balances();
+}
+
+TEST_F(BalancedEngine, EveryLaneStrandedStillReachesThePpeMirror) {
+  // kMultiSPE on a 5-SPE machine has no spare SPE: with all four lane
+  // SPEs hung, every lane strands and every task must still land on the
+  // PPE mirror — no hang, bit-exact results.
+  sim::Machine plain;
+  CellEngine baseline(plain, library_path(), Scenario::kMultiSPE);
+  HungLaneEngine hung(library_path(), Scenario::kMultiSPE, 5, 4);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::uint64_t tasks0 = hung.counter("steal.tasks");
+    const std::uint64_t fallbacks0 = hung.counter("guard.ppe_fallbacks");
+    AnalysisResult got = hung.engine->analyze(dataset_->images[i]);
+    expect_bitwise_equal(got, baseline.analyze(dataset_->images[i]));
+    const std::uint64_t tasks = hung.counter("steal.tasks") - tasks0;
+    EXPECT_GT(tasks, 0u);
+    // Four degraded features per task, every one of them mirrored.
+    EXPECT_EQ(got.degraded.size(), 4 * tasks);
+    EXPECT_EQ(hung.counter("guard.ppe_fallbacks") - fallbacks0, 4 * tasks);
+  }
+  EXPECT_EQ(hung.counter("guard.quarantined_spes"), 4u);
+  hung.expect_steal_ledger_balances();
+}
+
+TEST_F(BalancedEngine, StreamAfterQuarantineNeverIssuesToTheStrandedLane) {
+  Dataset data = make_mixed_size_dataset(4, 7);
+  sim::Machine plain;
+  CellEngine baseline(plain, library_path(), Scenario::kSharded);
+  HungLaneEngine hung(library_path());
+  hung.discover(dataset_->images[0]);
+  // A task issued to the stranded lane could only fall back to the PPE
+  // mirror, so "never issued" reads as zero fallbacks in the stream.
+  const std::uint64_t fallbacks = hung.counter("guard.ppe_fallbacks");
+  StreamStats stats;
+  std::vector<AnalysisResult> streamed =
+      hung.engine->analyze_stream(data.images, {/*batch=*/2}, &stats);
+  ASSERT_EQ(streamed.size(), data.images.size());
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    expect_bitwise_equal(streamed[i], baseline.analyze(data.images[i]));
+    EXPECT_TRUE(streamed[i].degraded.empty());
+  }
+  EXPECT_EQ(stats.fallbacks, 0u);
+  EXPECT_EQ(hung.counter("guard.ppe_fallbacks"), fallbacks);
+  hung.expect_steal_ledger_balances();
+}
+
+TEST_F(BalancedEngine, UnguardedKernelFaultLeavesThePerCallEngineUsable) {
+  // An unguarded fused or balanced engine rethrows a kernel fault; the
+  // other lanes' calls must be collected first, or every later Send on
+  // them throws "Send while a call is in flight".
+  for (bool balanced : {false, true}) {
+    SCOPED_TRACE(balanced ? "balanced" : "fused");
+    auto configure = [&](CellEngine& e) {
+      if (balanced) {
+        e.set_balanced(true);
+      } else {
+        e.set_fused(true);
+      }
+    };
+    sim::Machine m1;
+    CellEngine clean(m1, library_path(), Scenario::kSharded);
+    configure(clean);
+    sim::Machine m2;
+    CellEngine faulted(m2, library_path(), Scenario::kSharded);
+    configure(faulted);
+    sim::FaultInjection f;
+    f.dma_error_after = 2;
+    m2.spe(1).inject_fault(f);
+    EXPECT_THROW(faulted.analyze(dataset_->images[0]), cellport::Error);
+    for (std::size_t i = 0; i < 2; ++i) {
+      expect_bitwise_equal(faulted.analyze(dataset_->images[i]),
+                           clean.analyze(dataset_->images[i]));
+    }
+  }
 }
 
 // ---- the content cache in the engine ----
