@@ -96,73 +96,70 @@ CellEngine::CellEngine(sim::Machine& machine,
     metrics.gauge("shard.plan.fused_cd").set(fused_plan_.detect_spes);
   }
 
-  // Static schedule: one resident kernel per SPE (Section 3.3). A guarded
-  // engine wraps the same placement in GuardedInterfaces; any SPE beyond
-  // the pinned set becomes a shared spare retries may migrate to.
+  // Static schedule: one resident kernel per SPE (Section 3.3), opened
+  // once as lanes. A guarded engine opens the same placement behind
+  // GuardedInterfaces; any SPE beyond the pinned set becomes a shared
+  // spare retries may migrate to.
+  std::vector<int> spares;
   if (guard_.enabled) {
     health_ = std::make_unique<guard::SpeHealth>(machine_, guard_.retry);
     fallback_counter_ = &machine_.metrics().counter("guard.ppe_fallbacks");
     int pinned = scenario_ == Scenario::kMultiSPE2 ? 8
                  : scenario_ == Scenario::kSharded ? plan_.spes_used()
                                                    : 5;
-    std::vector<int> spares;
     for (int s = pinned; s < machine_.num_spes(); ++s) spares.push_back(s);
-    if (scenario_ == Scenario::kSharded) {
-      int spe = 0;
-      for (int i = 0; i < 4; ++i) {
-        for (int j = 0; j < plan_.extract_shards[i]; ++j) {
-          slots_[i].g_shards.push_back(
-              std::make_unique<guard::GuardedInterface>(
-                  *health_, config[i].module(), spe++, spares));
-        }
-      }
-      for (int b = 0; b < plan_.detect_spes; ++b) {
-        g_cd_shards_.push_back(std::make_unique<guard::GuardedInterface>(
-            *health_, kernels::cd_module(), spe++, spares));
-      }
+  }
+  auto open = [&](const port::KernelModule& module, int spe) {
+    Lane lane;
+    if (guard_.enabled) {
+      guards_.push_back(std::make_unique<guard::GuardedInterface>(
+          *health_, module, spe, spares));
+      lane.gi = guards_.back().get();
     } else {
-      for (int i = 0; i < 4; ++i) {
-        slots_[i].g_extract = std::make_unique<guard::GuardedInterface>(
-            *health_, config[i].module(), i, spares);
-      }
-      if (scenario_ == Scenario::kMultiSPE2) {
-        for (int i = 0; i < 4; ++i) {
-          slots_[i].g_detect = std::make_unique<guard::GuardedInterface>(
-              *health_, kernels::cd_module(), 4 + i, spares);
-        }
-      } else {
-        g_cd_ = std::make_unique<guard::GuardedInterface>(
-            *health_, kernels::cd_module(), 4, spares);
-      }
+      ifaces_.push_back(std::make_unique<port::SPEInterface>(module, spe));
+      lane.iface = ifaces_.back().get();
     }
-  } else if (scenario_ == Scenario::kSharded) {
+    lanes_.push_back(lane);
+    return lane;
+  };
+  if (scenario_ == Scenario::kSharded) {
     int spe = 0;
     for (int i = 0; i < 4; ++i) {
       for (int j = 0; j < plan_.extract_shards[i]; ++j) {
-        slots_[i].shard_ifs.push_back(std::make_unique<port::SPEInterface>(
-            config[i].module(), spe++));
+        slots_[i].shards.push_back(open(config[i].module(), spe++));
       }
     }
     for (int b = 0; b < plan_.detect_spes; ++b) {
-      cd_shard_ifs_.push_back(
-          std::make_unique<port::SPEInterface>(kernels::cd_module(), spe++));
+      cd_block_lanes_.push_back(open(kernels::cd_module(), spe++));
     }
+    // cellfuse: slot-major over the extract-shard SPEs (every extract
+    // module carries the fused body), capped at the planned lane count —
+    // past that, the marginal lane costs more in per-lane overhead than
+    // it saves in span (shard::plan_fused).
+    for (const auto& slot : slots_) {
+      fused_lanes_.insert(fused_lanes_.end(), slot.shards.begin(),
+                          slot.shards.end());
+    }
+    fused_lanes_.resize(std::min(
+        fused_lanes_.size(), static_cast<std::size_t>(fused_plan_.lanes)));
+    feed_lanes_ = cd_block_lanes_;
   } else {
-    ch_if_ = std::make_unique<port::SPEInterface>(kernels::ch_module(), 0);
-    cc_if_ = std::make_unique<port::SPEInterface>(kernels::cc_module(), 1);
-    tx_if_ = std::make_unique<port::SPEInterface>(kernels::tx_module(), 2);
-    eh_if_ = std::make_unique<port::SPEInterface>(kernels::eh_module(), 3);
-    cd_if_ = std::make_unique<port::SPEInterface>(kernels::cd_module(), 4);
-    if (scenario_ == Scenario::kMultiSPE2) {
-      for (int i = 0; i < 3; ++i) {
-        cd_extra_[i] = std::make_unique<port::SPEInterface>(
-            kernels::cd_module(), 5 + i);
-      }
+    for (int i = 0; i < 4; ++i) {
+      slots_[i].extract = open(config[i].module(), i);
     }
-    slots_[0].extract_if = ch_if_.get();
-    slots_[1].extract_if = cc_if_.get();
-    slots_[2].extract_if = tx_if_.get();
-    slots_[3].extract_if = eh_if_.get();
+    if (scenario_ == Scenario::kMultiSPE2) {
+      for (int i = 0; i < 4; ++i) {
+        slots_[i].detect = open(kernels::cd_module(), 4 + i);
+        feed_lanes_.push_back(slots_[i].detect);
+      }
+    } else {
+      const Lane cd = open(kernels::cd_module(), 4);
+      for (auto& slot : slots_) slot.detect = cd;
+      feed_lanes_.push_back(cd);
+    }
+    for (int i = 0; i < (scenario_ == Scenario::kSingleSPE ? 1 : 4); ++i) {
+      fused_lanes_.push_back(slots_[i].extract);
+    }
   }
 
   for (int i = 0; i < 4; ++i) {
@@ -173,9 +170,6 @@ CellEngine::CellEngine(sim::Machine& machine,
     slot.ref_extract = config[i].ref;
     slot.out = cellport::AlignedBuffer<float>(padded_dim(config[i].dim));
     setup_detection(slot, *config[i].set);
-    if (scenario_ == Scenario::kMultiSPE2 && !guard_.enabled) {
-      slot.detect_if = i == 0 ? cd_if_.get() : cd_extra_[i - 1].get();
-    }
   }
   if (scenario_ == Scenario::kSharded) setup_sharding();
 }
@@ -290,12 +284,6 @@ void CellEngine::fill_image_msg(FeatureSlot& slot,
   msg.out_count = slot.dim;
 }
 
-void CellEngine::run_detection(FeatureSlot& slot,
-                               port::SPEInterface& iface) {
-  iface.SendAndWait(static_cast<int>(kernels::SPU_Run),
-                    slot.detect_msg.ea());
-}
-
 void CellEngine::collect(FeatureSlot& slot, features::FeatureVector& fv,
                          DetectionScores& scores, const char* name) {
   // Copy results from the output buffers back into the class data
@@ -322,30 +310,6 @@ void CellEngine::collect(FeatureSlot& slot, features::FeatureVector& fv,
 // across the scenario's detect-side SPEs — which are idle during every
 // schedule's decode phase, including the decode-ahead overlap of the
 // pipelined batch and streaming modes.
-
-std::vector<CellEngine::FeedLane> CellEngine::feed_lanes() {
-  std::vector<FeedLane> lanes;
-  if (scenario_ == Scenario::kSharded) {
-    if (guard_.enabled) {
-      for (auto& g : g_cd_shards_) lanes.push_back({nullptr, g.get()});
-    } else {
-      for (auto& f : cd_shard_ifs_) lanes.push_back({f.get(), nullptr});
-    }
-  } else if (scenario_ == Scenario::kMultiSPE2) {
-    for (auto& slot : slots_) {
-      if (guard_.enabled) {
-        lanes.push_back({nullptr, slot.g_detect.get()});
-      } else {
-        lanes.push_back({slot.detect_if, nullptr});
-      }
-    }
-  } else if (guard_.enabled) {
-    lanes.push_back({nullptr, g_cd_.get()});
-  } else {
-    lanes.push_back({cd_if_.get(), nullptr});
-  }
-  return lanes;
-}
 
 img::RgbImage CellEngine::ingest(const img::SicEncoded& image,
                                  const std::function<void()>& between_slices,
@@ -401,18 +365,16 @@ void CellEngine::feed_image(const img::SicEncoded& image,
                             const img::PpmHeader& hdr, img::RgbImage& dst) {
   sim::ScalarContext& ppe = machine_.ppe();
   probe::ProbeSpan span(prt(), probe::Phase::kFeedDma, ppe, "feed_dma");
-  std::vector<FeedLane> lanes = feed_lanes();
-  if (feed_msgs_.size() < lanes.size()) {
-    feed_msgs_ =
-        std::vector<port::WrappedMessage<kernels::FeedMsg>>(lanes.size());
+  const std::size_t n = feed_lanes_.size();
+  if (feed_msgs_.size() < n) {
+    feed_msgs_ = std::vector<port::WrappedMessage<kernels::FeedMsg>>(n);
   }
   const std::vector<shard::Range> rows =
-      shard::split_rows(hdr.height, static_cast<int>(lanes.size()));
+      shard::split_rows(hdr.height, static_cast<int>(n));
   const auto src_ea = reinterpret_cast<std::uint64_t>(image.bytes.data() +
                                                       hdr.pixel_offset);
-  const auto feed_op = static_cast<int>(kernels::SPU_Run_Feed);
   const sim::SimTime sent = ppe.now_ns();
-  for (std::size_t j = 0; j < lanes.size(); ++j) {
+  for (std::size_t j = 0; j < n; ++j) {
     if (rows[j].empty()) continue;
     ppe.charge(sim::OpClass::kStore, 10);
     kernels::FeedMsg& m = *feed_msgs_[j];
@@ -425,33 +387,22 @@ void CellEngine::feed_image(const img::SicEncoded& image,
     m.row_begin = rows[j].begin;
     m.row_end = rows[j].end;
     m.rows_per_tile = 0;
-    if (lanes[j].gi != nullptr) {
-      lanes[j].gi->Send(feed_op, feed_msgs_[j].ea());
-    } else {
-      lanes[j].iface->Send(feed_op, feed_msgs_[j].ea());
-    }
+    feed_lanes_[j].send(static_cast<int>(kernels::SPU_Run_Feed),
+                        feed_msgs_[j].ea());
   }
-  for (std::size_t j = 0; j < lanes.size(); ++j) {
+  for (std::size_t j = 0; j < n; ++j) {
     if (rows[j].empty()) continue;
+    const std::string label = "feed[" + std::to_string(j) + "]";
+    // A guard give-up or a plain kernel fault: this lane's rows fall to
+    // the PPE.
     bool ok = true;
-    if (lanes[j].gi != nullptr) {
-      const sim::SimTime finish_t0 = ppe.now_ns();
-      guard::GuardedInterface::Result r = lanes[j].gi->Finish();
-      if (r.attempts > 1) {
-        rt_.add_closed(probe::Phase::kGuardRetry,
-                       "feed[" + std::to_string(j) + "]", finish_t0,
-                       ppe.now_ns());
-      }
-      ok = r.ok;
-    } else {
-      try {
-        lanes[j].iface->Wait();
-      } catch (const cellport::Error&) {
-        ok = false;  // kernel fault: this lane's rows fall to the PPE
-      }
+    try {
+      feed_lanes_[j].finish(
+          ppe, prt(), [&] { return label; }, [&] { ok = false; });
+    } catch (const cellport::Error&) {
+      ok = false;
     }
-    rt_.add_spe_span(probe::Phase::kFeedDma,
-                     "feed[" + std::to_string(j) + "]", sent, ppe.now_ns());
+    rt_.add_spe_span(probe::Phase::kFeedDma, label, sent, ppe.now_ns());
     if (ok) {
       feed_rows_counter_->add(static_cast<std::uint64_t>(rows[j].count()));
     } else {
@@ -495,8 +446,7 @@ void CellEngine::feed_fallback_rows(const img::SicEncoded& image,
 }
 
 AnalysisResult CellEngine::analyze(const img::SicEncoded& image) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  if (probe_ != nullptr) rt_.start("analyze", ppe.now_ns());
+  if (probe_ != nullptr) rt_.start("analyze", machine_.ppe().now_ns());
   // cellbalance: content-cache front end. A hit skips decode, extraction
   // and detection entirely — digest + copy-out, bit-identical values.
   std::uint64_t cache_key = 0;
@@ -510,129 +460,132 @@ AnalysisResult CellEngine::analyze(const img::SicEncoded& image) {
     }
     cache_fill = true;
   }
-  img::RgbImage pixels = [&] {
-    port::Profiler::Scope probe(profiler_, kPhasePreprocess);
-    return ingest(image);
-  }();
-
+  img::RgbImage pixels = decode(image);
+  std::optional<StealLoop> loop = steal_loop(pixels);
+  AnalysisResult result;
   {
-    probe::ProbeSpan span(prt(), probe::Phase::kPrepare, ppe,
-                          "fill_msgs");
+    InFlight f;
+    f.loop = loop ? &*loop : nullptr;
+    dispatch(pixels, f);
+    result = complete(pixels, f);
+  }
+  if (loop) tally_steals(*loop);
+  if (cache_fill && result.degraded.empty()) {
+    cache_store(cache_key, result);
+  }
+  note_image_done();
+  finish_request();
+  return result;
+}
+
+img::RgbImage CellEngine::decode(const img::SicEncoded& image) {
+  port::Profiler::Scope probe(profiler_, kPhasePreprocess);
+  return ingest(image);
+}
+
+std::optional<StealLoop> CellEngine::steal_loop(const img::RgbImage& pixels) {
+  if (!balanced_) return std::nullopt;
+  return std::optional<StealLoop>(
+      std::in_place, machine_.ppe(), prt(), fused_lanes_,
+      [this, &pixels](std::size_t, std::size_t t) {
+        fused_fallback_lane(t, pixels);
+      });
+}
+
+void CellEngine::dispatch(const img::RgbImage& pixels, InFlight& f) {
+  sim::ScalarContext& ppe = machine_.ppe();
+  const bool per_feature = !fused_ && !balanced_;
+  {
+    probe::ProbeSpan span(prt(), probe::Phase::kPrepare, ppe, "fill_msgs");
     for (auto& slot : slots_) fill_image_msg(slot, pixels);
-    if (fused_ || balanced_) {
+    if (!per_feature) {
       prepare_fused(pixels);
     } else if (scenario_ == Scenario::kSharded) {
       prepare_shards(pixels);
     }
   }
+  // Feed fallbacks for this image were staged when it was decoded (in a
+  // pipelined batch, while the previous image's kernels ran).
+  degraded_current_ = std::move(feed_pending_degraded_);
+  feed_pending_degraded_.clear();
+  if (per_feature && scenario_ == Scenario::kSingleSPE) return;
 
-  if (guard_.enabled) {
-    // Feed fallbacks for this image were staged during ingest().
-    degraded_current_ = std::move(feed_pending_degraded_);
-    feed_pending_degraded_.clear();
-  }
-  if (balanced_) {
-    analyze_balanced(pixels);
+  f.phase.emplace(profiler_, kPhaseExtractPar);
+  if (f.loop != nullptr) {
+    f.loop->push(f.owner, fused_rows_, fused_msgs_);
   } else if (fused_) {
-    analyze_fused(pixels);
-  } else if (guard_.enabled) {
-    analyze_guarded_schedule(pixels);
+    probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe, "send_fused");
+    send_fused();
+  } else if (scenario_ == Scenario::kSharded) {
+    probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe, "send_shards");
+    send_shards();
   } else {
-    switch (scenario_) {
-      case Scenario::kSingleSPE: {
-        for (auto& slot : slots_) {
-          port::Profiler::Scope probe(profiler_, slot.phase);
-          probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe,
-                                slot.name);
-          const sim::SimTime sent = ppe.now_ns();
-          slot.extract_if->SendAndWait(guarded_opcode(slot),
-                                       slot.msg.ea());
-          rt_.add_spe_span(probe::Phase::kExtract, slot.name, sent,
-                           ppe.now_ns());
-        }
-        port::Profiler::Scope probe(profiler_, kPhaseCd);
-        probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-        for (auto& slot : slots_) {
-          const sim::SimTime sent = ppe.now_ns();
-          run_detection(slot, *cd_if_);
-          rt_.add_spe_span(probe::Phase::kDetect,
-                           std::string("cd:") + slot.name, sent,
-                           ppe.now_ns());
-        }
-        break;
-      }
-      case Scenario::kMultiSPE: {
-        {
-          port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-          sim::SimTime sent[4] = {0, 0, 0, 0};
-          {
-            probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
-                               "send_extract");
-            for (int i = 0; i < 4; ++i) {
-              sent[i] = ppe.now_ns();
-              slots_[i].extract_if->Send(guarded_opcode(slots_[i]),
-                                         slots_[i].msg.ea());
-            }
-          }
-          probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe);
-          for (int i = 0; i < 4; ++i) {
-            slots_[i].extract_if->Wait();
-            rt_.add_spe_span(probe::Phase::kExtract, slots_[i].name,
-                             sent[i], ppe.now_ns());
-          }
-        }
-        port::Profiler::Scope probe(profiler_, kPhaseDetect);
-        probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-        for (auto& slot : slots_) {
-          const sim::SimTime sent = ppe.now_ns();
-          run_detection(slot, *cd_if_);
-          rt_.add_spe_span(probe::Phase::kDetect,
-                           std::string("cd:") + slot.name, sent,
-                           ppe.now_ns());
-        }
-        break;
-      }
-      case Scenario::kMultiSPE2: {
-        port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-        sim::SimTime sent[4] = {0, 0, 0, 0};
-        sim::SimTime detect_sent[4] = {0, 0, 0, 0};
-        {
-          probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
-                             "send_extract");
-          for (int i = 0; i < 4; ++i) {
-            sent[i] = ppe.now_ns();
-            slots_[i].extract_if->Send(guarded_opcode(slots_[i]),
-                                       slots_[i].msg.ea());
-          }
-        }
-        // Each extraction is immediately followed by its own detection on
-        // a dedicated detection SPE.
-        {
-          probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe);
-          for (int i = 0; i < 4; ++i) {
-            slots_[i].extract_if->Wait();
-            rt_.add_spe_span(probe::Phase::kExtract, slots_[i].name,
-                             sent[i], ppe.now_ns());
-            detect_sent[i] = ppe.now_ns();
-            slots_[i].detect_if->Send(static_cast<int>(kernels::SPU_Run),
-                                      slots_[i].detect_msg.ea());
-          }
-        }
-        probe::ProbeSpan w(prt(), probe::Phase::kDetect, ppe);
-        for (int i = 0; i < 4; ++i) {
-          slots_[i].detect_if->Wait();
-          rt_.add_spe_span(probe::Phase::kDetect,
-                           std::string("cd:") + slots_[i].name,
-                           detect_sent[i], ppe.now_ns());
-        }
-        break;
-      }
-      case Scenario::kSharded: {
-        analyze_sharded(pixels);
-        break;
-      }
+    probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe, "send_extract");
+    for (int i = 0; i < 4; ++i) {
+      f.extract_sent[i] = ppe.now_ns();
+      slots_[i].extract.send(extract_opcode(slots_[i]), slots_[i].msg.ea());
     }
   }
+}
+
+AnalysisResult CellEngine::complete(const img::RgbImage& pixels,
+                                    InFlight& f) {
+  sim::ScalarContext& ppe = machine_.ppe();
+  const bool per_feature = !fused_ && !balanced_;
+  const bool sharded = scenario_ == Scenario::kSharded;
+  if (f.loop != nullptr) {
+    f.loop->drain(f.owner);
+  } else if (fused_) {
+    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "fused_lanes");
+    wait_fused(pixels);
+  } else if (sharded) {
+    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "shards");
+    wait_shards(pixels);
+  } else if (scenario_ == Scenario::kSingleSPE) {
+    // Scenario 1: each kernel runs alone, under its own profiler phase.
+    for (auto& slot : slots_) {
+      port::Profiler::Scope probe(profiler_, slot.phase);
+      probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe, slot.name);
+      const sim::SimTime sent = ppe.now_ns();
+      slot.extract.send(extract_opcode(slot), slot.msg.ea());
+      finish_extract(slot, pixels);
+      rt_.add_spe_span(probe::Phase::kExtract, slot.name, sent,
+                       ppe.now_ns());
+    }
+  } else {
+    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe);
+    for (int i = 0; i < 4; ++i) {
+      finish_extract(slots_[i], pixels);
+      rt_.add_spe_span(probe::Phase::kExtract, slots_[i].name,
+                       f.extract_sent[i], ppe.now_ns());
+      // kMultiSPE2: each extraction is immediately followed by its own
+      // detection on a dedicated detection SPE.
+      if (scenario_ == Scenario::kMultiSPE2) send_detect(i, f);
+    }
+  }
+
+  // kMultiSPE2 per-feature detection already runs inside the extraction
+  // phase; every other schedule detects under its own.
+  const bool detect_in_extract =
+      per_feature && scenario_ == Scenario::kMultiSPE2;
+  if (!detect_in_extract) f.phase.reset();
+  if (!per_feature) {
+    port::Profiler::Scope probe(profiler_, kPhaseShardReduce);
+    reduce_fused_slots();
+  } else if (sharded) {
+    port::Profiler::Scope probe(profiler_, kPhaseShardReduce);
+    probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
+                          "shard_reduce");
+    for (int i = 0; i < 4; ++i) reduce_slot(i);
+    shard_reduce_counter_->add(1);
+  }
+  if (!detect_in_extract) {
+    f.phase.emplace(profiler_, per_feature && scenario_ == Scenario::kSingleSPE
+                                   ? kPhaseCd
+                                   : kPhaseDetect);
+  }
+  detect(f);
+  f.phase.reset();
 
   AnalysisResult result;
   {
@@ -645,12 +598,7 @@ AnalysisResult CellEngine::analyze(const img::SicEncoded& image) {
     collect(slots_[3], result.edge_histogram, result.eh_detect,
             "edge_histogram");
   }
-  if (guard_.enabled) result.degraded = std::move(degraded_current_);
-  if (cache_fill && result.degraded.empty()) {
-    cache_store(cache_key, result);
-  }
-  note_image_done();
-  finish_request();
+  result.degraded = std::move(degraded_current_);
   return result;
 }
 
@@ -660,98 +608,10 @@ void CellEngine::finish_request() {
   probe_->on_request(rt_);
 }
 
-int CellEngine::guarded_opcode(const FeatureSlot& slot) const {
+int CellEngine::extract_opcode(const FeatureSlot& slot) const {
   bool has_naive = slot.phase != kPhaseTx;
   return static_cast<int>(use_naive_ && has_naive ? kernels::SPU_Run_Naive
                                                   : kernels::SPU_Run);
-}
-
-void CellEngine::analyze_guarded_schedule(const img::RgbImage& pixels) {
-  // Mirrors the unguarded scenario switch call-for-call so a fault-free
-  // guarded run charges identical simulated time; only the completion
-  // side differs (Finish() runs the retry loop, and exhausted retries
-  // drop to the PPE reference path instead of throwing).
-  sim::ScalarContext& ppe = machine_.ppe();
-  switch (scenario_) {
-    case Scenario::kSingleSPE: {
-      for (auto& slot : slots_) {
-        port::Profiler::Scope probe(profiler_, slot.phase);
-        probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe,
-                              slot.name);
-        const sim::SimTime sent = ppe.now_ns();
-        slot.g_extract->Send(guarded_opcode(slot), slot.msg.ea());
-        finish_extract(slot, pixels);
-        rt_.add_spe_span(probe::Phase::kExtract, slot.name, sent,
-                         ppe.now_ns());
-      }
-      port::Profiler::Scope probe(profiler_, kPhaseCd);
-      probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-      for (auto& slot : slots_) guarded_detect(slot, *g_cd_);
-      break;
-    }
-    case Scenario::kMultiSPE: {
-      {
-        port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-        sim::SimTime sent[4] = {0, 0, 0, 0};
-        {
-          probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
-                             "send_extract");
-          for (int i = 0; i < 4; ++i) {
-            sent[i] = ppe.now_ns();
-            slots_[i].g_extract->Send(guarded_opcode(slots_[i]),
-                                      slots_[i].msg.ea());
-          }
-        }
-        probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe);
-        for (int i = 0; i < 4; ++i) {
-          finish_extract(slots_[i], pixels);
-          rt_.add_spe_span(probe::Phase::kExtract, slots_[i].name,
-                           sent[i], ppe.now_ns());
-        }
-      }
-      port::Profiler::Scope probe(profiler_, kPhaseDetect);
-      probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-      for (auto& slot : slots_) guarded_detect(slot, *g_cd_);
-      break;
-    }
-    case Scenario::kMultiSPE2: {
-      port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-      sim::SimTime sent[4] = {0, 0, 0, 0};
-      sim::SimTime detect_sent[4] = {0, 0, 0, 0};
-      {
-        probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
-                           "send_extract");
-        for (int i = 0; i < 4; ++i) {
-          sent[i] = ppe.now_ns();
-          slots_[i].g_extract->Send(guarded_opcode(slots_[i]),
-                                    slots_[i].msg.ea());
-        }
-      }
-      {
-        probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe);
-        for (int i = 0; i < 4; ++i) {
-          finish_extract(slots_[i], pixels);
-          rt_.add_spe_span(probe::Phase::kExtract, slots_[i].name,
-                           sent[i], ppe.now_ns());
-          detect_sent[i] = ppe.now_ns();
-          slots_[i].g_detect->Send(static_cast<int>(kernels::SPU_Run),
-                                   slots_[i].detect_msg.ea());
-        }
-      }
-      probe::ProbeSpan w(prt(), probe::Phase::kDetect, ppe);
-      for (int i = 0; i < 4; ++i) {
-        finish_detect(slots_[i], *slots_[i].g_detect);
-        rt_.add_spe_span(probe::Phase::kDetect,
-                         std::string("cd:") + slots_[i].name,
-                         detect_sent[i], ppe.now_ns());
-      }
-      break;
-    }
-    case Scenario::kSharded: {
-      analyze_sharded(pixels);
-      break;
-    }
-  }
 }
 
 // ---- cellshard: the kSharded per-image schedule ----
@@ -759,46 +619,17 @@ void CellEngine::analyze_guarded_schedule(const img::RgbImage& pixels) {
 // All shards of all four kernels launch in parallel (the plan sizes the
 // counts so they finish together); the PPE then merges raw partials into
 // the exact unsharded outputs and fans each slot's detection out over
-// the detection interfaces as contiguous model blocks. The guarded
-// variant mirrors the unguarded one call-for-call; a shard whose retries
-// are exhausted is recomputed on the PPE via the shard mirrors — the
-// surviving shards' SPE work is kept.
-void CellEngine::analyze_sharded(const img::RgbImage& pixels) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  {
-    port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-    {
-      probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
-                         "send_shards");
-      send_shards();
-    }
-    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "shards");
-    wait_shards(pixels);
-  }
-  {
-    port::Profiler::Scope probe(profiler_, kPhaseShardReduce);
-    probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
-                          "shard_reduce");
-    for (int i = 0; i < 4; ++i) reduce_slot(i);
-    shard_reduce_counter_->add(1);
-  }
-  port::Profiler::Scope probe(profiler_, kPhaseDetect);
-  probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe, "blocks");
-  for (auto& slot : slots_) sharded_detect(slot);
-}
+// the detection block lanes. A guarded shard whose retries are exhausted
+// is recomputed on the PPE via the shard mirrors — the surviving shards'
+// SPE work is kept.
 
 void CellEngine::send_shards() {
   shard_send_ns_ = machine_.ppe().now_ns();
   for (auto& slot : slots_) {
     for (std::size_t j = 0; j < slot.shard_msgs.size(); ++j) {
       if (slot.shard_rows[j].empty()) continue;
-      if (guard_.enabled) {
-        slot.g_shards[j]->Send(static_cast<int>(kernels::SPU_Run),
-                               slot.shard_msgs[j].ea());
-      } else {
-        slot.shard_ifs[j]->Send(static_cast<int>(kernels::SPU_Run),
-                                slot.shard_msgs[j].ea());
-      }
+      slot.shards[j].send(static_cast<int>(kernels::SPU_Run),
+                          slot.shard_msgs[j].ea());
     }
   }
 }
@@ -809,30 +640,19 @@ void CellEngine::wait_shards(const img::RgbImage& pixels) {
     FeatureSlot& slot = slots_[i];
     for (std::size_t j = 0; j < slot.shard_msgs.size(); ++j) {
       if (slot.shard_rows[j].empty()) continue;
-      if (guard_.enabled) {
-        finish_shard(i, static_cast<int>(j), pixels);
-      } else {
-        slot.shard_ifs[j]->Wait();
-      }
-      rt_.add_spe_span(probe::Phase::kExtract,
-                       std::string(slot.name) + "[" + std::to_string(j) +
-                           "]",
-                       shard_send_ns_, ppe.now_ns());
+      const std::string label =
+          std::string(slot.name) + "[" + std::to_string(j) + "]";
+      slot.shards[j].finish(
+          ppe, prt(), [&] { return label; },
+          [&] { fallback_shard(i, static_cast<int>(j), pixels); }, lanes_);
+      rt_.add_spe_span(probe::Phase::kExtract, label, shard_send_ns_,
+                       ppe.now_ns());
     }
   }
 }
 
-void CellEngine::finish_shard(int i, int j, const img::RgbImage& pixels) {
+void CellEngine::fallback_shard(int i, int j, const img::RgbImage& pixels) {
   FeatureSlot& slot = slots_[i];
-  const sim::SimTime finish_t0 = machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r =
-      slot.g_shards[static_cast<std::size_t>(j)]->Finish();
-  if (r.attempts > 1) {
-    rt_.add_closed(probe::Phase::kGuardRetry,
-                   std::string(slot.name) + "[" + std::to_string(j) + "]",
-                   finish_t0, machine_.ppe().now_ns());
-  }
-  if (r.ok) return;
   probe::ProbeSpan span(prt(), probe::Phase::kFallback, machine_.ppe(),
                         std::string("shard:") + slot.name);
   // Recompute just this shard's raw partial on the PPE; the reduction
@@ -915,68 +735,47 @@ void CellEngine::reduce_partials(
 }
 
 void CellEngine::sharded_detect(FeatureSlot& slot) {
+  sim::ScalarContext& ppe = machine_.ppe();
   const auto num_models = static_cast<int>(slot.set->models.size());
   const int d = plan_.detect_spes;
   std::vector<shard::Range> blocks = shard::split_rows(num_models, d);
-  machine_.ppe().charge(sim::OpClass::kStore,
-                        6 * static_cast<std::uint64_t>(d));
-  const sim::SimTime blocks_sent = machine_.ppe().now_ns();
-  for (int b = 0; b < d; ++b) {
-    if (blocks[static_cast<std::size_t>(b)].empty()) continue;
-    kernels::DetectMsg& m = *cd_block_msgs_[static_cast<std::size_t>(b)];
+  ppe.charge(sim::OpClass::kStore, 6 * static_cast<std::uint64_t>(d));
+  const sim::SimTime blocks_sent = ppe.now_ns();
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    if (blocks[b].empty()) continue;
+    kernels::DetectMsg& m = *cd_block_msgs_[b];
     m = *slot.detect_msg;
-    m.model_begin = blocks[static_cast<std::size_t>(b)].begin;
-    m.num_models = blocks[static_cast<std::size_t>(b)].count();
-    m.scores_ea = reinterpret_cast<std::uint64_t>(
-        cd_block_scores_[static_cast<std::size_t>(b)].data());
-    if (guard_.enabled) {
-      g_cd_shards_[static_cast<std::size_t>(b)]->Send(
-          static_cast<int>(kernels::SPU_Run),
-          cd_block_msgs_[static_cast<std::size_t>(b)].ea());
-    } else {
-      cd_shard_ifs_[static_cast<std::size_t>(b)]->Send(
-          static_cast<int>(kernels::SPU_Run),
-          cd_block_msgs_[static_cast<std::size_t>(b)].ea());
-    }
+    m.model_begin = blocks[b].begin;
+    m.num_models = blocks[b].count();
+    m.scores_ea = reinterpret_cast<std::uint64_t>(cd_block_scores_[b].data());
+    cd_block_lanes_[b].send(static_cast<int>(kernels::SPU_Run),
+                            cd_block_msgs_[b].ea());
   }
   std::vector<const double*> parts;
   std::vector<int> counts;
-  for (int b = 0; b < d; ++b) {
-    const shard::Range& block = blocks[static_cast<std::size_t>(b)];
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const shard::Range& block = blocks[b];
     if (block.empty()) continue;
-    if (guard_.enabled) {
-      const sim::SimTime finish_t0 = machine_.ppe().now_ns();
-      guard::GuardedInterface::Result r =
-          g_cd_shards_[static_cast<std::size_t>(b)]->Finish();
-      if (r.attempts > 1) {
-        rt_.add_closed(probe::Phase::kGuardRetry,
-                       std::string("cd[") + std::to_string(b) + "]:" +
-                           slot.name,
-                       finish_t0, machine_.ppe().now_ns());
-      }
-      if (!r.ok) {
-        probe::ProbeSpan span(prt(), probe::Phase::kFallback,
-                              machine_.ppe(),
-                              std::string("detect:") + slot.name);
-        shard::ppe_detect_block(
-            slot.out.data(), slot.dim, *slot.set, block,
-            cd_block_scores_[static_cast<std::size_t>(b)].data(),
-            &machine_.ppe());
-        note_degraded("detect", slot);
-      }
-    } else {
-      cd_shard_ifs_[static_cast<std::size_t>(b)]->Wait();
-    }
-    rt_.add_spe_span(probe::Phase::kDetect,
-                     std::string("cd[") + std::to_string(b) + "]:" +
-                         slot.name,
-                     blocks_sent, machine_.ppe().now_ns());
-    parts.push_back(cd_block_scores_[static_cast<std::size_t>(b)].data());
+    const std::string label =
+        "cd[" + std::to_string(b) + "]:" + std::string(slot.name);
+    cd_block_lanes_[b].finish(
+        ppe, prt(), [&] { return label; },
+        [&] {
+          probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe,
+                                std::string("detect:") + slot.name);
+          shard::ppe_detect_block(slot.out.data(), slot.dim, *slot.set,
+                                  block, cd_block_scores_[b].data(), &ppe);
+          note_degraded("detect", slot);
+        },
+        lanes_);
+    rt_.add_spe_span(probe::Phase::kDetect, label, blocks_sent,
+                     ppe.now_ns());
+    parts.push_back(cd_block_scores_[b].data());
     counts.push_back(block.count());
   }
   shard::concat_scores(parts.data(), counts.data(),
                        static_cast<int>(parts.size()), slot.scores.data(),
-                       &machine_.ppe());
+                       &ppe);
 }
 
 // ---- cellfuse: the fused per-image schedule ----
@@ -988,40 +787,6 @@ void CellEngine::sharded_detect(FeatureSlot& slot) {
 // the blobs' sections with the same cellshard reducers the sharded
 // scenario uses, so fused results are bit-exact with the per-feature
 // kernels; detection then runs the scenario's normal schedule.
-
-std::vector<FusedLane> CellEngine::fused_lanes() {
-  std::vector<FusedLane> lanes;
-  if (scenario_ == Scenario::kSharded) {
-    // Slot-major over the extract-shard SPEs (every extract module
-    // carries the fused body), capped at the planned lane count — past
-    // that, the marginal lane costs more in per-lane overhead than it
-    // saves in span (shard::plan_fused).
-    for (auto& slot : slots_) {
-      if (guard_.enabled) {
-        for (auto& g : slot.g_shards) lanes.push_back({nullptr, g.get()});
-      } else {
-        for (auto& f : slot.shard_ifs) lanes.push_back({f.get(), nullptr});
-      }
-    }
-    const auto cap = static_cast<std::size_t>(fused_plan_.lanes);
-    if (lanes.size() > cap) lanes.resize(cap);
-  } else if (scenario_ == Scenario::kSingleSPE) {
-    if (guard_.enabled) {
-      lanes.push_back({nullptr, slots_[0].g_extract.get()});
-    } else {
-      lanes.push_back({slots_[0].extract_if, nullptr});
-    }
-  } else {
-    for (auto& slot : slots_) {
-      if (guard_.enabled) {
-        lanes.push_back({nullptr, slot.g_extract.get()});
-      } else {
-        lanes.push_back({slot.extract_if, nullptr});
-      }
-    }
-  }
-  return lanes;
-}
 
 void CellEngine::prepare_fused(const img::RgbImage& pixels) {
   const int h = pixels.height();
@@ -1035,7 +800,7 @@ void CellEngine::prepare_fused(const img::RgbImage& pixels) {
   }
   // A balanced engine splits the image into more, smaller task ranges
   // than lanes; the fused_* members then hold one entry per task.
-  const auto lanes = static_cast<int>(fused_lanes().size());
+  const auto lanes = static_cast<int>(fused_lanes_.size());
   fused_rows_ = balanced_ ? balance::split_tasks(h, lanes)
                           : shard::split_fused(h, lanes);
   const std::size_t n = fused_rows_.size();
@@ -1063,73 +828,24 @@ void CellEngine::prepare_fused(const img::RgbImage& pixels) {
   machine_.ppe().charge(sim::OpClass::kStore, stores);
 }
 
-void CellEngine::analyze_fused(const img::RgbImage& pixels) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  {
-    port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-    {
-      probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
-                         "send_fused");
-      send_fused();
-    }
-    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "fused_lanes");
-    wait_fused(pixels);
-  }
-  {
-    port::Profiler::Scope probe(profiler_, kPhaseShardReduce);
-    reduce_fused_slots();
-  }
-  port::Profiler::Scope probe(profiler_, kPhaseDetect);
-  fused_detect();
-}
-
 void CellEngine::send_fused() {
   fused_send_ns_ = machine_.ppe().now_ns();
-  std::vector<FusedLane> lanes = fused_lanes();
-  const auto op = static_cast<int>(kernels::SPU_Run_Fused);
-  for (std::size_t j = 0; j < lanes.size(); ++j) {
+  for (std::size_t j = 0; j < fused_lanes_.size(); ++j) {
     if (fused_rows_[j].empty()) continue;
-    if (lanes[j].gi != nullptr) {
-      lanes[j].gi->Send(op, fused_msgs_[j].ea());
-    } else {
-      lanes[j].iface->Send(op, fused_msgs_[j].ea());
-    }
+    fused_lanes_[j].send(static_cast<int>(kernels::SPU_Run_Fused),
+                         fused_msgs_[j].ea());
   }
 }
 
 void CellEngine::wait_fused(const img::RgbImage& pixels) {
   sim::ScalarContext& ppe = machine_.ppe();
-  std::vector<FusedLane> lanes = fused_lanes();
-  for (std::size_t j = 0; j < lanes.size(); ++j) {
+  for (std::size_t j = 0; j < fused_lanes_.size(); ++j) {
     if (fused_rows_[j].empty()) continue;
-    if (lanes[j].gi != nullptr) {
-      const sim::SimTime finish_t0 = ppe.now_ns();
-      guard::GuardedInterface::Result r = lanes[j].gi->Finish();
-      if (r.attempts > 1) {
-        rt_.add_closed(probe::Phase::kGuardRetry,
-                       "fused[" + std::to_string(j) + "]", finish_t0,
-                       ppe.now_ns());
-      }
-      if (!r.ok) fused_fallback_lane(j, pixels);
-    } else {
-      try {
-        lanes[j].iface->Wait();
-      } catch (const cellport::Error&) {
-        // An unguarded kernel fault aborts the image. Collect every
-        // other lane still in flight first (best effort: the first error
-        // is the one reported), so the next call can Send again.
-        for (std::size_t k = j + 1; k < lanes.size(); ++k) {
-          if (!lanes[k].iface->busy()) continue;
-          try {
-            lanes[k].iface->Wait();
-          } catch (const cellport::Error&) {
-          }
-        }
-        throw;
-      }
-    }
-    rt_.add_spe_span(probe::Phase::kExtract,
-                     "fused[" + std::to_string(j) + "]", fused_send_ns_,
+    const std::string label = "fused[" + std::to_string(j) + "]";
+    fused_lanes_[j].finish(
+        ppe, prt(), [&] { return label; },
+        [&] { fused_fallback_lane(j, pixels); }, lanes_);
+    rt_.add_spe_span(probe::Phase::kExtract, label, fused_send_ns_,
                      ppe.now_ns());
   }
 }
@@ -1207,7 +923,7 @@ void CellEngine::reduce_fused_slots() {
   fuse_images_counter_->add(1);
 }
 
-void CellEngine::fused_detect() {
+void CellEngine::detect(InFlight& f) {
   sim::ScalarContext& ppe = machine_.ppe();
   if (scenario_ == Scenario::kSharded) {
     probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe, "blocks");
@@ -1215,41 +931,26 @@ void CellEngine::fused_detect() {
     return;
   }
   probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-  if (scenario_ == Scenario::kMultiSPE2) {
-    sim::SimTime detect_sent[4] = {0, 0, 0, 0};
-    for (int i = 0; i < 4; ++i) {
-      detect_sent[i] = ppe.now_ns();
-      if (guard_.enabled) {
-        slots_[i].g_detect->Send(static_cast<int>(kernels::SPU_Run),
-                                 slots_[i].detect_msg.ea());
-      } else {
-        slots_[i].detect_if->Send(static_cast<int>(kernels::SPU_Run),
-                                  slots_[i].detect_msg.ea());
-      }
-    }
-    for (int i = 0; i < 4; ++i) {
-      if (guard_.enabled) {
-        finish_detect(slots_[i], *slots_[i].g_detect);
-      } else {
-        slots_[i].detect_if->Wait();
-      }
-      rt_.add_spe_span(probe::Phase::kDetect,
-                       std::string("cd:") + slots_[i].name,
-                       detect_sent[i], ppe.now_ns());
-    }
-    return;
+  // kMultiSPE2 runs one detection SPE per slot; per-feature extraction
+  // already sent each detection as its extraction retired. Otherwise the
+  // slots share one detection SPE, one slot at a time.
+  const bool own_spe = scenario_ == Scenario::kMultiSPE2;
+  if (own_spe && (fused_ || balanced_)) {
+    for (int i = 0; i < 4; ++i) send_detect(i, f);
   }
-  for (auto& slot : slots_) {
-    if (guard_.enabled) {
-      guarded_detect(slot, *g_cd_);
-    } else {
-      const sim::SimTime sent = ppe.now_ns();
-      run_detection(slot, *cd_if_);
-      rt_.add_spe_span(probe::Phase::kDetect,
-                       std::string("cd:") + slot.name, sent,
-                       ppe.now_ns());
-    }
+  for (int i = 0; i < 4; ++i) {
+    if (!own_spe) send_detect(i, f);
+    finish_detect(slots_[i]);
+    rt_.add_spe_span(probe::Phase::kDetect,
+                     std::string("cd:") + slots_[i].name, f.detect_sent[i],
+                     ppe.now_ns());
   }
+}
+
+void CellEngine::send_detect(int i, InFlight& f) {
+  f.detect_sent[i] = machine_.ppe().now_ns();
+  slots_[i].detect.send(static_cast<int>(kernels::SPU_Run),
+                        slots_[i].detect_msg.ea());
 }
 
 // ---- cellbalance: steal-driven fused dispatch + the content cache ----
@@ -1268,25 +969,6 @@ void CellEngine::set_balanced(bool on) {
     steal_arms_counter_ = &m.counter("steal.arms");
     steal_steals_counter_ = &m.counter("steal.steals");
   }
-}
-
-void CellEngine::analyze_balanced(const img::RgbImage& pixels) {
-  {
-    port::Profiler::Scope probe(profiler_, kPhaseExtractPar);
-    StealLoop loop(machine_.ppe(), prt(), fused_lanes(),
-                   [this, &pixels](std::size_t, std::size_t t) {
-                     fused_fallback_lane(t, pixels);
-                   });
-    loop.push(0, fused_rows_, fused_msgs_);
-    loop.drain(0);
-    tally_steals(loop);
-  }
-  {
-    port::Profiler::Scope probe(profiler_, kPhaseShardReduce);
-    reduce_fused_slots();
-  }
-  port::Profiler::Scope probe(profiler_, kPhaseDetect);
-  fused_detect();
 }
 
 void CellEngine::tally_steals(const StealLoop& loop) {
@@ -1387,13 +1069,9 @@ void CellEngine::cache_store(std::uint64_t key,
 
 void CellEngine::finish_extract(FeatureSlot& slot,
                                 const img::RgbImage& pixels) {
-  const sim::SimTime finish_t0 = machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r = slot.g_extract->Finish();
-  if (r.attempts > 1) {
-    rt_.add_closed(probe::Phase::kGuardRetry, slot.name, finish_t0,
-                   machine_.ppe().now_ns());
-  }
-  if (!r.ok) fallback_extract(slot, pixels);
+  slot.extract.finish(
+      machine_.ppe(), prt(), [&] { return std::string(slot.name); },
+      [&] { fallback_extract(slot, pixels); }, lanes_);
 }
 
 void CellEngine::fallback_extract(FeatureSlot& slot,
@@ -1411,26 +1089,10 @@ void CellEngine::fallback_extract(FeatureSlot& slot,
   note_degraded("extract", slot);
 }
 
-void CellEngine::guarded_detect(FeatureSlot& slot,
-                                guard::GuardedInterface& gi) {
-  const sim::SimTime sent = machine_.ppe().now_ns();
-  gi.Send(static_cast<int>(kernels::SPU_Run), slot.detect_msg.ea());
-  finish_detect(slot, gi);
-  rt_.add_spe_span(probe::Phase::kDetect,
-                   std::string("cd:") + slot.name, sent,
-                   machine_.ppe().now_ns());
-}
-
-void CellEngine::finish_detect(FeatureSlot& slot,
-                               guard::GuardedInterface& gi) {
-  const sim::SimTime finish_t0 = machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r = gi.Finish();
-  if (r.attempts > 1) {
-    rt_.add_closed(probe::Phase::kGuardRetry,
-                   std::string("cd:") + slot.name, finish_t0,
-                   machine_.ppe().now_ns());
-  }
-  if (!r.ok) fallback_detect(slot);
+void CellEngine::finish_detect(FeatureSlot& slot) {
+  slot.detect.finish(
+      machine_.ppe(), prt(), [&] { return std::string("cd:") + slot.name; },
+      [&] { fallback_detect(slot); }, lanes_);
 }
 
 void CellEngine::fallback_detect(FeatureSlot& slot) {
@@ -1526,179 +1188,37 @@ std::vector<AnalysisResult> CellEngine::pipelined_cold(
 
   port::Profiler::Scope probe(profiler_, kPhasePipelined);
   sim::ScalarContext& ppe = machine_.ppe();
-  auto decode = [&](const img::SicEncoded& image) { return ingest(image); };
-
   // Two pixel buffers alternate: the SPEs read `current` while the PPE
   // decodes into the other slot. Probing treats each loop iteration as
   // one request; the overlapped decode of image i+1 lands in request
   // i's kDecode phase — that is where the PPE's time really went.
   if (probe_ != nullptr) rt_.start("pipelined", ppe.now_ns());
   img::RgbImage current = decode(*images[0]);
-  // Balanced: image i is owner i of one steal loop; its tasks are pushed
-  // before the overlapped decode and drained after it.
-  std::optional<StealLoop> loop;
-  if (balanced_) {
-    loop.emplace(ppe, prt(), fused_lanes(),
-                 [this, &current](std::size_t, std::size_t t) {
-                   fused_fallback_lane(t, current);
-                 });
-  }
+  // Balanced: image i is owner i of one steal loop.
+  std::optional<StealLoop> loop = steal_loop(current);
   for (std::size_t i = 0; i < images.size(); ++i) {
     if (probe_ != nullptr && !rt_.active()) {
       rt_.start("pipelined", ppe.now_ns());
     }
-    {
-      probe::ProbeSpan span(prt(), probe::Phase::kPrepare, ppe,
-                            "fill_msgs");
-      for (auto& slot : slots_) fill_image_msg(slot, current);
-      if (fused_ || balanced_) {
-        prepare_fused(current);
-      } else if (scenario_ == Scenario::kSharded) {
-        prepare_shards(current);
-      }
-    }
-    if (guard_.enabled) {
-      // Feed fallbacks for `current` were staged when it was decoded
-      // (one iteration ago, overlapping the previous image's kernels).
-      degraded_current_ = std::move(feed_pending_degraded_);
-      feed_pending_degraded_.clear();
-    }
-    sim::SimTime sent[4] = {0, 0, 0, 0};
-    {
-      probe::ProbeSpan span(prt(), probe::Phase::kDispatch, ppe,
-                            "send_extract");
-      if (balanced_) {
-        loop->push(i, fused_rows_, fused_msgs_);
-      } else if (fused_) {
-        send_fused();
-      } else if (scenario_ == Scenario::kSharded) {
-        send_shards();
-      } else {
-        for (int s = 0; s < 4; ++s) {
-          FeatureSlot& slot = slots_[s];
-          sent[s] = ppe.now_ns();
-          if (guard_.enabled) {
-            slot.g_extract->Send(static_cast<int>(kernels::SPU_Run),
-                                 slot.msg.ea());
-          } else {
-            slot.extract_if->Send(static_cast<int>(kernels::SPU_Run),
-                                  slot.msg.ea());
-          }
-        }
-      }
-    }
-    // PPE work overlaps the SPE kernels: decode the next image now.
+    InFlight f;
+    f.loop = loop ? &*loop : nullptr;
+    f.owner = i;
+    dispatch(current, f);
+    // PPE work overlaps the SPE kernels: decode the next image now. A
+    // malformed carrier aborts the batch; collect image i's calls first,
+    // so no kernel reads a freed image and the next call can Send.
     img::RgbImage next;
-    if (i + 1 < images.size()) next = decode(*images[i + 1]);
-
-    if (balanced_ || fused_) {
-      if (balanced_) {
-        loop->drain(i);
-      } else {
-        probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe,
-                              "fused_lanes");
-        wait_fused(current);
-      }
-      reduce_fused_slots();
-      fused_detect();
-    } else if (scenario_ == Scenario::kSharded) {
-      {
-        probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe,
-                              "shards");
-        wait_shards(current);
-      }
-      {
-        probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
-                              "shard_reduce");
-        for (int si = 0; si < 4; ++si) reduce_slot(si);
-        shard_reduce_counter_->add(1);
-      }
-      probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe, "blocks");
-      for (auto& slot : slots_) sharded_detect(slot);
-    } else if (guard_.enabled) {
-      if (scenario_ == Scenario::kMultiSPE2) {
-        sim::SimTime detect_sent[4] = {0, 0, 0, 0};
-        {
-          probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe);
-          for (int s = 0; s < 4; ++s) {
-            FeatureSlot& slot = slots_[s];
-            finish_extract(slot, current);
-            detect_sent[s] = ppe.now_ns();
-            slot.g_detect->Send(static_cast<int>(kernels::SPU_Run),
-                                slot.detect_msg.ea());
-          }
-        }
-        probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-        for (int s = 0; s < 4; ++s) {
-          FeatureSlot& slot = slots_[s];
-          finish_detect(slot, *slot.g_detect);
-          rt_.add_spe_span(probe::Phase::kDetect,
-                           std::string("cd:") + slot.name,
-                           detect_sent[s], ppe.now_ns());
-        }
-      } else {
-        {
-          probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe);
-          for (auto& slot : slots_) finish_extract(slot, current);
-        }
-        probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-        for (auto& slot : slots_) guarded_detect(slot, *g_cd_);
-      }
-    } else if (scenario_ == Scenario::kMultiSPE2) {
-      sim::SimTime detect_sent[4] = {0, 0, 0, 0};
-      {
-        probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe);
-        for (int s = 0; s < 4; ++s) {
-          FeatureSlot& slot = slots_[s];
-          slot.extract_if->Wait();
-          rt_.add_spe_span(probe::Phase::kExtract, slot.name, sent[s],
-                           ppe.now_ns());
-          detect_sent[s] = ppe.now_ns();
-          slot.detect_if->Send(static_cast<int>(kernels::SPU_Run),
-                               slot.detect_msg.ea());
-        }
-      }
-      probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-      for (int s = 0; s < 4; ++s) {
-        slots_[s].detect_if->Wait();
-        rt_.add_spe_span(probe::Phase::kDetect,
-                         std::string("cd:") + slots_[s].name,
-                         detect_sent[s], ppe.now_ns());
-      }
-    } else {
-      {
-        probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe);
-        for (int s = 0; s < 4; ++s) {
-          slots_[s].extract_if->Wait();
-          rt_.add_spe_span(probe::Phase::kExtract, slots_[s].name,
-                           sent[s], ppe.now_ns());
-        }
-      }
-      probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
-      for (auto& slot : slots_) {
-        const sim::SimTime d_sent = ppe.now_ns();
-        run_detection(slot, *cd_if_);
-        rt_.add_spe_span(probe::Phase::kDetect,
-                         std::string("cd:") + slot.name, d_sent,
-                         ppe.now_ns());
+    if (i + 1 < images.size()) {
+      try {
+        next = decode(*images[i + 1]);
+      } catch (...) {
+        for (const Lane& lane : lanes_) lane.abandon();
+        throw;
       }
     }
-
-    AnalysisResult result;
-    {
-      probe::ProbeSpan span(prt(), probe::Phase::kOutput, ppe, "collect");
-      collect(slots_[0], result.color_histogram, result.ch_detect,
-              "color_histogram");
-      collect(slots_[1], result.color_correlogram, result.cc_detect,
-              "color_correlogram");
-      collect(slots_[2], result.texture, result.tx_detect, "texture");
-      collect(slots_[3], result.edge_histogram, result.eh_detect,
-              "edge_histogram");
-    }
-    if (guard_.enabled) result.degraded = std::move(degraded_current_);
+    results.push_back(complete(current, f));
     note_image_done();
     finish_request();
-    results.push_back(std::move(result));
     if (i + 1 < images.size()) current = std::move(next);
   }
   if (loop) tally_steals(*loop);

@@ -3,7 +3,8 @@
 // The PPE runs the original application flow (preprocessing, control,
 // data wrapping); the five kernels run on SPEs behind SPEInterface stubs,
 // statically scheduled one kernel per SPE (Section 3.3). The three
-// execution scenarios of Section 5.5 are supported:
+// execution scenarios of Section 5.5 are supported, plus a fourth
+// (kSharded):
 //
 //   kSingleSPE  — all kernels invoked sequentially (Figure 4b). Uses one
 //                 resident SPE per kernel to avoid dynamic code
@@ -17,10 +18,17 @@
 //                 spread over all SPEs by shard::plan_shards; the PPE
 //                 reduces raw partials into bit-exact results. Optimizes
 //                 per-image latency where kMultiSPE optimizes occupancy.
+//
+// analyze() and pipelined batches run one per-image schedule, written
+// once over Lanes (marvel/lane.h): dispatch() sends the image's
+// extraction, complete() finishes it, reduces and detects. A guarded
+// engine opens the same placement behind GuardedInterfaces; the lanes'
+// completion policy is the only difference.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +41,7 @@
 #include "kernels/messages.h"
 #include "port/message.h"
 #include "learn/model_store.h"
+#include "marvel/lane.h"
 #include "marvel/reference_engine.h"
 #include "marvel/result.h"
 #include "marvel/steal_loop.h"
@@ -99,12 +108,12 @@ class CellEngine {
   /// Loads the model library on the PPE (one-time overhead) and opens
   /// the kernel interfaces. `use_naive` selects the pre-optimization
   /// kernel versions where they exist (CH/CC/EH; Section 5.3).
-  /// With `guard.enabled`, every SPE call runs behind a cellguard
+  /// With `guard.enabled`, every lane is opened behind a cellguard
   /// GuardedInterface (deadline/retry/quarantine) and a kernel whose
   /// retries are exhausted falls back to the PPE scalar path, recorded
-  /// in AnalysisResult::degraded; a fault-free guarded run charges
-  /// exactly what an unguarded one does. Disabled (the default) leaves
-  /// the legacy paths untouched.
+  /// in AnalysisResult::degraded. The schedule is the same one an
+  /// unguarded engine runs, so a fault-free guarded run charges exactly
+  /// what an unguarded one does.
   CellEngine(sim::Machine& machine, const std::string& library_path,
              Scenario scenario,
              kernels::BufferingDepth buffering = kernels::kDoubleBuffer,
@@ -114,9 +123,9 @@ class CellEngine {
 
   /// Batch mode with PPE/SPE overlap (Figure 4c's full form): while the
   /// SPEs extract image i, the PPE decodes image i+1, hiding most of the
-  /// preprocessing behind kernel time. Requires kMultiSPE or kMultiSPE2
-  /// (the per-image kernel schedule is unchanged); results are identical
-  /// to per-image analyze() calls.
+  /// preprocessing behind kernel time. Requires a parallel scenario
+  /// (kMultiSPE, kMultiSPE2 or kSharded); each image runs analyze()'s
+  /// schedule, so results are identical to per-image analyze() calls.
   std::vector<AnalysisResult> analyze_batch_pipelined(
       const std::vector<img::SicEncoded>& images);
 
@@ -230,7 +239,11 @@ class CellEngine {
   friend class StreamEngine;
 
   struct FeatureSlot {
-    port::SPEInterface* extract_if = nullptr;
+    /// Per-feature extraction (kSingleSPE/kMultiSPE/kMultiSPE2).
+    Lane extract;
+    /// The slot's concept detection: its own SPE in kMultiSPE2, the
+    /// shared detection SPE in kSingleSPE/kMultiSPE.
+    Lane detect;
     const char* phase = nullptr;
     cellport::port::WrappedMessage<kernels::ImageMsg> msg;
     cellport::AlignedBuffer<float> out;
@@ -240,43 +253,64 @@ class CellEngine {
     cellport::port::WrappedMessage<kernels::DetectMsg> detect_msg;
     cellport::AlignedBuffer<kernels::DetectModelDesc> descs;
     cellport::AlignedBuffer<double> scores;
-    port::SPEInterface* detect_if = nullptr;  // kMultiSPE2 only
-    // cellguard (populated only for a guarded engine)
+    // PPE mirrors (guarded fallbacks).
     const char* name = nullptr;
     features::FeatureVector (*ref_extract)(const img::RgbImage&,
                                            sim::ScalarContext*) = nullptr;
-    std::unique_ptr<guard::GuardedInterface> g_extract;
-    std::unique_ptr<guard::GuardedInterface> g_detect;  // kMultiSPE2 only
-    // cellshard (kSharded only): one interface + message + raw-partial
-    // buffer per shard of this kernel; `shard_rows` holds the current
-    // image's ranges (recomputed per image — shapes may vary).
-    std::vector<std::unique_ptr<port::SPEInterface>> shard_ifs;
-    std::vector<std::unique_ptr<guard::GuardedInterface>> g_shards;
+    // cellshard (kSharded only): one lane + message + raw-partial buffer
+    // per shard of this kernel; `shard_rows` holds the current image's
+    // ranges (recomputed per image — shapes may vary).
+    std::vector<Lane> shards;
     std::vector<cellport::port::WrappedMessage<kernels::ImageMsg>>
         shard_msgs;
     std::vector<cellport::AlignedBuffer<std::uint8_t>> shard_parts;
     std::vector<shard::Range> shard_rows;
   };
 
+  /// One image between dispatch() and complete(). Lives in the caller's
+  /// frame, so an exception unwinds the open profiler phase with it.
+  struct InFlight {
+    /// Balanced engines: the steal loop the image's tasks ride, and the
+    /// image's owner index in it.
+    StealLoop* loop = nullptr;
+    std::size_t owner = 0;
+    /// Extract(parallel), open from the send until extraction retires
+    /// (kMultiSPE2 per-feature: until its detection retires).
+    std::optional<port::Profiler::Scope> phase;
+    sim::SimTime extract_sent[4] = {0, 0, 0, 0};
+    sim::SimTime detect_sent[4] = {0, 0, 0, 0};
+  };
+
+  // ---- the per-image schedule (every entry path) ----
+  /// PPE decode (or SPE feed) of one carrier under the Preprocess phase.
+  img::RgbImage decode(const img::SicEncoded& image);
+  /// Fills the image's messages and sends its extraction: per-feature
+  /// kernels, shards, fused lanes, or balanced tasks pushed on
+  /// `f.loop`. kSingleSPE per-feature sends nothing here (each kernel
+  /// starts after the previous one retires, in complete()).
+  void dispatch(const img::RgbImage& pixels, InFlight& f);
+  /// Finishes the extraction dispatch() sent (guarded lanes retry or
+  /// fall back to the PPE mirrors), reduces partials, runs detection,
+  /// and copies the results out.
+  AnalysisResult complete(const img::RgbImage& pixels, InFlight& f);
+  /// The scenario's detection schedule (kSharded: model blocks;
+  /// kMultiSPE2: one SPE per slot; otherwise the shared CD SPE, one
+  /// slot at a time). kMultiSPE2 per-feature sends each detection as
+  /// its extraction retires, in complete().
+  void detect(InFlight& f);
+  void send_detect(int i, InFlight& f);
+  /// A balanced engine's steal loop over the fused lanes; a task the
+  /// guard gives up on is mirrored from `pixels`.
+  std::optional<StealLoop> steal_loop(const img::RgbImage& pixels);
+
   void setup_detection(FeatureSlot& slot, const learn::ConceptModelSet& set);
   void fill_image_msg(FeatureSlot& slot, const img::RgbImage& pixels);
-  void run_detection(FeatureSlot& slot, port::SPEInterface& iface);
   void collect(FeatureSlot& slot, features::FeatureVector& fv,
                DetectionScores& scores, const char* name);
   /// Bumps the images-analyzed counter and drops a timeline marker.
   void note_image_done();
 
   // ---- cellfeed paths (no-ops unless set_feed(true)) ----
-  /// One ingest lane: the detect-side interface feed rows ride, guarded
-  /// or plain depending on the engine.
-  struct FeedLane {
-    port::SPEInterface* iface = nullptr;
-    guard::GuardedInterface* gi = nullptr;
-  };
-  /// The scenario's detect-side lanes (kSharded: the detection block
-  /// interfaces; kMultiSPE2: the four detection SPEs; otherwise the
-  /// single CD interface).
-  std::vector<FeedLane> feed_lanes();
   /// Decode-or-feed front end shared by analyze(), the pipelined batch
   /// loop, and StreamEngine's image prepare. With feed off (or an
   /// ineligible carrier) it charges exactly what the legacy decode path
@@ -288,7 +322,7 @@ class CellEngine {
   img::RgbImage ingest(const img::SicEncoded& image,
                        const std::function<void()>& between_slices = {},
                        img::RgbImage storage = {});
-  /// The SPE half of ingest(): splits `hdr`'s rows across feed_lanes(),
+  /// The SPE half of ingest(): splits `hdr`'s rows across feed_lanes_,
   /// sends SPU_Run_Feed, and waits under the FeedDMA probe phase.
   void feed_image(const img::SicEncoded& image, const img::PpmHeader& hdr,
                   img::RgbImage& dst);
@@ -298,20 +332,15 @@ class CellEngine {
                           const img::PpmHeader& hdr,
                           const shard::Range& rows, img::RgbImage& dst);
 
-  // ---- cellguard paths (no-ops unless guard_.enabled) ----
-  /// The per-image kernel schedule behind guarded interfaces; fills the
-  /// same slot buffers the unguarded switch fills.
-  void analyze_guarded_schedule(const img::RgbImage& pixels);
-  /// Finish() for a slot's extract call, falling back to the PPE
-  /// reference extractor when the guard gives up.
+  // ---- PPE mirrors (run when a guarded lane gives up) ----
   void finish_extract(FeatureSlot& slot, const img::RgbImage& pixels);
   void fallback_extract(FeatureSlot& slot, const img::RgbImage& pixels);
-  /// Guarded detection via `gi`, with PPE reference scoring on failure.
-  void guarded_detect(FeatureSlot& slot, guard::GuardedInterface& gi);
-  void finish_detect(FeatureSlot& slot, guard::GuardedInterface& gi);
+  void finish_detect(FeatureSlot& slot);
   void fallback_detect(FeatureSlot& slot);
   void note_degraded(const char* stage, const FeatureSlot& slot);
-  int guarded_opcode(const FeatureSlot& slot) const;
+  /// SPU_Run, or SPU_Run_Naive for an engine built with `use_naive`
+  /// (CH/CC/EH have naive kernel versions).
+  int extract_opcode(const FeatureSlot& slot) const;
 
   // ---- cellshard paths (kSharded only) ----
   /// Allocates per-shard messages/partial buffers and the detection
@@ -320,14 +349,10 @@ class CellEngine {
   /// Computes the current image's shard ranges and fills every shard
   /// message (after fill_image_msg).
   void prepare_shards(const img::RgbImage& pixels);
-  /// The sharded per-image schedule: parallel shard extraction, PPE
-  /// reduction, block-parallel detection. Guarded variant retries a
-  /// faulted shard and falls back to the PPE mirror for just that slice.
-  void analyze_sharded(const img::RgbImage& pixels);
-  /// Dispatches every non-empty shard of every slot (guarded or not).
+  /// Dispatches every non-empty shard of every slot.
   void send_shards();
-  /// Completion side of send_shards(); guarded shards that exhaust their
-  /// retries are recomputed from `pixels` via the PPE mirrors.
+  /// Completion side of send_shards(); a shard the guard gives up on is
+  /// recomputed from `pixels` via the PPE mirrors.
   void wait_shards(const img::RgbImage& pixels);
   /// Merges slot `i`'s raw partials into its normalized output buffer.
   void reduce_slot(int i);
@@ -344,32 +369,22 @@ class CellEngine {
                               const std::vector<const double*>& tiles,
                               const std::vector<int>& tile_doubles, int w,
                               int h, float* out, sim::ScalarContext* ppe);
-  /// Finish() for one guarded shard; PPE mirror partial on failure.
-  void finish_shard(int i, int j, const img::RgbImage& pixels);
-  /// Block-split detection for one slot over the detection interfaces.
+  /// PPE mirror partial for shard `j` of slot `i`.
+  void fallback_shard(int i, int j, const img::RgbImage& pixels);
+  /// Block-split detection for one slot over the detection block lanes.
   void sharded_detect(FeatureSlot& slot);
 
   // ---- cellfuse paths (no-ops unless set_fused(true)) ----
-  /// The scenario's fused lanes (kSingleSPE: slot 0's interface;
-  /// kMultiSPE/kMultiSPE2: the four extract interfaces; kSharded: the
-  /// extract-shard interfaces slot-major, capped at fused_plan_.lanes).
-  std::vector<FusedLane> fused_lanes();
   /// Computes the current image's lane ranges (a balanced engine: its
   /// finer task ranges, balance::split_tasks), (re)sizes the partial
   /// blobs and fills the lane/task messages (after fill_image_msg).
   /// Throws ConfigError for images below 16x16, exactly like the TX
   /// kernel (a fused lane always computes the wavelet texture).
   void prepare_fused(const img::RgbImage& pixels);
-  /// The fused per-image schedule: parallel single-pass lanes, PPE
-  /// reduction of all four features, then the scenario's normal
-  /// detection schedule.
-  void analyze_fused(const img::RgbImage& pixels);
-  /// Dispatches every non-empty lane (guarded or not).
+  /// Dispatches every non-empty lane.
   void send_fused();
-  /// Completion side of send_fused(); a guarded lane that exhausts its
-  /// retries is recomputed from `pixels` via the PPE shard mirrors. An
-  /// unguarded kernel fault collects every other pending lane before it
-  /// propagates, so the engine stays usable.
+  /// Completion side of send_fused(); a lane the guard gives up on is
+  /// recomputed from `pixels` via the PPE shard mirrors.
   void wait_fused(const img::RgbImage& pixels);
   /// PPE mirror for one lane's (or task's) row range, recorded as
   /// degraded "fuse:<feature>".
@@ -390,15 +405,8 @@ class CellEngine {
   /// The fused lanes' (or balanced tasks') reduction of all four
   /// features into the slot output buffers.
   void reduce_fused_slots();
-  /// The scenario's detection schedule, shared by analyze_fused and the
-  /// pipelined loop (identical to the per-feature paths' detection).
-  void fused_detect();
 
   // ---- cellbalance paths (no-ops unless set_balanced(true)) ----
-  /// The balanced per-image schedule: the image's tasks (the fused_*
-  /// members at task granularity) through one StealLoop owner, PPE
-  /// reduction of all four features, the scenario's normal detection.
-  void analyze_balanced(const img::RgbImage& pixels);
   /// Adds a finished loop's task/arm/steal totals to the steal.* counters.
   void tally_steals(const StealLoop& loop);
 
@@ -440,19 +448,31 @@ class CellEngine {
   // Cached at construction so the per-image path does no registry lookup.
   trace::Counter* images_counter_ = nullptr;
 
-  std::unique_ptr<port::SPEInterface> ch_if_;
-  std::unique_ptr<port::SPEInterface> cc_if_;
-  std::unique_ptr<port::SPEInterface> tx_if_;
-  std::unique_ptr<port::SPEInterface> eh_if_;
-  std::unique_ptr<port::SPEInterface> cd_if_;
-  std::unique_ptr<port::SPEInterface> cd_extra_[3];  // kMultiSPE2
-
-  // cellguard state (null / empty when the policy is disabled).
+  // cellguard state (null when the policy is disabled).
   guard::GuardPolicy guard_;
   std::unique_ptr<guard::SpeHealth> health_;
-  std::unique_ptr<guard::GuardedInterface> g_cd_;  // single/multi detection
   trace::Counter* fallback_counter_ = nullptr;
   std::vector<std::string> degraded_current_;
+
+  // The static placement, opened once at construction: plain interfaces
+  // for an unguarded engine, GuardedInterfaces for a guarded one. Every
+  // Lane below points into one of the two.
+  std::vector<std::unique_ptr<port::SPEInterface>> ifaces_;
+  std::vector<std::unique_ptr<guard::GuardedInterface>> guards_;
+  /// Every lane in opening order: what a plain kernel fault collects
+  /// before it propagates.
+  std::vector<Lane> lanes_;
+  /// kSharded detection: one lane per model block.
+  std::vector<Lane> cd_block_lanes_;
+  /// The scenario's fused extraction lanes (kSingleSPE: slot 0's
+  /// extract lane; kMultiSPE/kMultiSPE2: the four extract lanes;
+  /// kSharded: the extract-shard lanes slot-major, capped at
+  /// fused_plan_.lanes).
+  std::vector<Lane> fused_lanes_;
+  /// The scenario's detect-side lanes feed rows ride (kSharded: the
+  /// detection block lanes; kMultiSPE2: the four detection SPEs;
+  /// otherwise the shared CD lane).
+  std::vector<Lane> feed_lanes_;
 
   // cellfeed state.
   bool feed_ = false;
@@ -488,8 +508,6 @@ class CellEngine {
 
   // cellshard state (kSharded only).
   shard::ShardPlan plan_;
-  std::vector<std::unique_ptr<port::SPEInterface>> cd_shard_ifs_;
-  std::vector<std::unique_ptr<guard::GuardedInterface>> g_cd_shards_;
   std::vector<cellport::port::WrappedMessage<kernels::DetectMsg>>
       cd_block_msgs_;
   std::vector<cellport::AlignedBuffer<double>> cd_block_scores_;

@@ -9,10 +9,10 @@
 namespace cellport::marvel {
 
 StealLoop::StealLoop(sim::ScalarContext& ppe, probe::RequestTrace* rt,
-                     std::vector<FusedLane> lanes, Fallback fallback)
+                     const std::vector<Lane>& lanes, Fallback fallback)
     : ppe_(ppe),
       rt_(rt),
-      lanes_(std::move(lanes)),
+      lanes_(lanes),
       fallback_(std::move(fallback)),
       q_(0, lanes_.size()),
       stamp_(lanes_.size(), -1),
@@ -20,15 +20,7 @@ StealLoop::StealLoop(sim::ScalarContext& ppe, probe::RequestTrace* rt,
 
 StealLoop::~StealLoop() {
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
-    if (!q_.busy(k)) continue;
-    try {
-      if (lanes_[k].gi != nullptr) {
-        lanes_[k].gi->Finish();
-      } else if (lanes_[k].iface->busy()) {
-        lanes_[k].iface->Wait();
-      }
-    } catch (const cellport::Error&) {
-    }
+    if (q_.busy(k)) lanes_[k].abandon();
   }
 }
 
@@ -49,7 +41,7 @@ void StealLoop::push(
 }
 
 bool StealLoop::stranded(std::size_t k) const {
-  return lanes_[k].gi != nullptr && lanes_[k].gi->stranded();
+  return lanes_[k].stranded();
 }
 
 void StealLoop::arm() {
@@ -68,21 +60,14 @@ void StealLoop::issue(std::size_t k) {
   if (i == balance::TaskQueue::kNone) return;
   tasks_[i].sent = ppe_.now_ns();
   stamp_[k] = -1;
-  const auto op = static_cast<int>(kernels::SPU_Run_Fused);
-  if (lanes_[k].gi != nullptr) {
-    lanes_[k].gi->Send(op, tasks_[i].ea);
-  } else {
-    lanes_[k].iface->Send(op, tasks_[i].ea);
-  }
+  lanes_[k].send(static_cast<int>(kernels::SPU_Run_Fused), tasks_[i].ea);
 }
 
 sim::SimTime StealLoop::stamp(std::size_t k) {
   if (stamp_[k] < 0) {
     // Non-destructive: a hung or stranded lane reports kNeverNs.
     probe::ProbeSpan span(rt_, probe::Phase::kSteal, ppe_, "peek");
-    stamp_[k] = lanes_[k].gi != nullptr
-                    ? lanes_[k].gi->peek_ns()
-                    : lanes_[k].iface->peek_completion_ns();
+    stamp_[k] = lanes_[k].peek();
   }
   return stamp_[k];
 }
@@ -112,20 +97,10 @@ void StealLoop::finish(std::size_t k) {
       probed ? "task[" + std::to_string(task.owner) + "." +
                    std::to_string(task.index) + "]"
              : std::string();
-  if (lanes_[k].gi != nullptr) {
-    const sim::SimTime finish_t0 = ppe_.now_ns();
-    guard::GuardedInterface::Result res = lanes_[k].gi->Finish();
-    if (res.attempts > 1) {
-      retries_ += static_cast<std::size_t>(res.attempts - 1);
-      if (probed) {
-        rt_->add_closed(probe::Phase::kGuardRetry, tag, finish_t0,
-                        ppe_.now_ns());
-      }
-    }
-    if (!res.ok) fallback_(task.owner, task.index);
-  } else {
-    lanes_[k].iface->Wait();
-  }
+  // A plain kernel fault propagates; the destructor collects the rest.
+  retries_ += static_cast<std::size_t>(lanes_[k].finish(
+      ppe_, rt_, [&] { return tag; },
+      [&] { fallback_(task.owner, task.index); }));
   if (probed) {
     rt_->add_spe_span(probe::Phase::kExtract, tag, task.sent, ppe_.now_ns());
   }

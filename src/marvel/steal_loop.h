@@ -32,22 +32,14 @@
 #include <vector>
 
 #include "balance/steal.h"
-#include "guard/guarded_interface.h"
 #include "kernels/messages.h"
+#include "marvel/lane.h"
 #include "port/message.h"
-#include "port/spe_interface.h"
 #include "probe/request_trace.h"
 #include "shard/partials.h"
 #include "sim/scalar_context.h"
 
 namespace cellport::marvel {
-
-/// One fused extraction lane: an SPE the scenario scheduled for
-/// extraction, guarded or plain depending on the engine.
-struct FusedLane {
-  port::SPEInterface* iface = nullptr;
-  guard::GuardedInterface* gi = nullptr;
-};
 
 class StealLoop {
  public:
@@ -55,9 +47,10 @@ class StealLoop {
   /// gave up on it.
   using Fallback = std::function<void(std::size_t owner, std::size_t task)>;
 
-  /// `rt` receives the loop's spans (null: probing off).
+  /// `rt` receives the loop's spans (null: probing off). `lanes` (the
+  /// engine's fused extraction lanes) must outlive the loop.
   StealLoop(sim::ScalarContext& ppe, probe::RequestTrace* rt,
-            std::vector<FusedLane> lanes, Fallback fallback);
+            const std::vector<Lane>& lanes, Fallback fallback);
   /// Collects every task still on a lane (best effort: a kernel error is
   /// swallowed), so an aborted call leaves the lanes free for the next.
   ~StealLoop();
@@ -108,7 +101,7 @@ class StealLoop {
 
   sim::ScalarContext& ppe_;
   probe::RequestTrace* rt_;
-  std::vector<FusedLane> lanes_;
+  const std::vector<Lane>& lanes_;
   Fallback fallback_;
   balance::TaskQueue q_;
   std::vector<Task> tasks_;

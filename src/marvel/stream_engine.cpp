@@ -108,32 +108,6 @@ StreamEngine::StreamEngine(CellEngine& engine, const StreamOptions& opts)
   }
 }
 
-port::SPEInterface* StreamEngine::extract_iface(int s) {
-  if (engine_.guard_.enabled) return engine_.slots_[s].g_extract->iface();
-  return engine_.slots_[s].extract_if;
-}
-
-port::SPEInterface* StreamEngine::detect_iface(int s) {
-  if (engine_.scenario_ == Scenario::kMultiSPE2) {
-    if (engine_.guard_.enabled) return engine_.slots_[s].g_detect->iface();
-    return engine_.slots_[s].detect_if;
-  }
-  if (engine_.guard_.enabled) return engine_.g_cd_->iface();
-  return engine_.cd_if_.get();
-}
-
-guard::GuardedInterface* StreamEngine::extract_guard(int s) {
-  return engine_.guard_.enabled ? engine_.slots_[s].g_extract.get()
-                                : nullptr;
-}
-
-guard::GuardedInterface* StreamEngine::detect_guard(int s) {
-  if (!engine_.guard_.enabled) return nullptr;
-  return engine_.scenario_ == Scenario::kMultiSPE2
-             ? engine_.slots_[s].g_detect.get()
-             : engine_.g_cd_.get();
-}
-
 port::SPEInterface* StreamEngine::ensure_ring(port::SPEInterface* iface,
                                               std::uint32_t cap) {
   if (iface == nullptr) return nullptr;
@@ -193,7 +167,7 @@ void StreamEngine::prepare_image(
       throw cellport::ConfigError(
           "image too small for the 4-level wavelet texture");
     }
-    const auto lanes_n = static_cast<int>(engine_.fused_lanes().size());
+    const auto lanes_n = static_cast<int>(engine_.fused_lanes_.size());
     pi.fused_rows = engine_.balanced_
                         ? balance::split_tasks(ih, lanes_n)
                         : shard::split_fused(ih, lanes_n);
@@ -283,21 +257,14 @@ void StreamEngine::wait_batch(port::SPEInterface* iface, std::size_t n,
   }
 }
 
-port::SPEInterface* StreamEngine::shard_iface(int s, int k) {
-  CellEngine::FeatureSlot& slot = engine_.slots_[s];
-  if (engine_.guard_.enabled) {
-    return slot.g_shards[static_cast<std::size_t>(k)]->iface();
-  }
-  return slot.shard_ifs[static_cast<std::size_t>(k)].get();
-}
-
 void StreamEngine::flush_shard_slot(const Window& win, int s) {
   const std::size_t count = win.size();
   const auto cap = static_cast<std::uint32_t>(opts_.batch) *
                    (pipelined_ ? 2u : 1u);
   const auto spu_run = static_cast<int>(kernels::SPU_Run);
   for (int k = 0; k < engine_.plan_.extract_shards[s]; ++k) {
-    port::SPEInterface* iface = ensure_ring(shard_iface(s, k), cap);
+    port::SPEInterface* iface = ensure_ring(
+        engine_.slots_[s].shards[static_cast<std::size_t>(k)].ring(), cap);
     if (iface == nullptr) continue;  // guarded + closed: wait resolves it
     int enqueued = 0;
     for (std::size_t j = 0; j < count; ++j) {
@@ -322,7 +289,8 @@ void StreamEngine::wait_shard_slot(const Window& win, int s) {
       }
     }
     if (live.empty()) continue;
-    wait_batch(shard_iface(s, k), live.size(), "shard extract",
+    wait_batch(engine_.slots_[s].shards[static_cast<std::size_t>(k)].ring(),
+               live.size(), "shard extract",
                [&](std::size_t i) { rerun_shard(s, k, *live[i]); });
   }
 }
@@ -358,9 +326,7 @@ void StreamEngine::run_detect_sharded(const Window& win) {
     }
     if (live.empty()) continue;
     const auto bi = static_cast<std::size_t>(b);
-    port::SPEInterface* iface = engine_.guard_.enabled
-                                    ? engine_.g_cd_shards_[bi]->iface()
-                                    : engine_.cd_shard_ifs_[bi].get();
+    port::SPEInterface* iface = engine_.cd_block_lanes_[bi].ring();
     if (iface != nullptr) {
       ensure_ring(iface, cap);
       for (const auto& [j, s] : live) {
@@ -396,7 +362,7 @@ void StreamEngine::rerun_shard(int s, int k, PerImage& pi) {
   SlotBuf& sb = pi.sb[s];
   const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
   guard::GuardedInterface::Result r =
-      engine_.slots_[s].g_shards[static_cast<std::size_t>(k)]->Call(
+      engine_.slots_[s].shards[static_cast<std::size_t>(k)].gi->Call(
           static_cast<int>(kernels::SPU_Run),
           sb.shard_msgs[static_cast<std::size_t>(k)].ea());
   engine_.rt_.add_closed(probe::Phase::kGuardRetry,
@@ -436,7 +402,7 @@ void StreamEngine::rerun_detect_block(int s, int b, PerImage& pi) {
   SlotBuf& sb = pi.sb[s];
   const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
   guard::GuardedInterface::Result r =
-      engine_.g_cd_shards_[static_cast<std::size_t>(b)]->Call(
+      engine_.cd_block_lanes_[static_cast<std::size_t>(b)].gi->Call(
           static_cast<int>(kernels::SPU_Run),
           sb.block_msgs[static_cast<std::size_t>(b)].ea());
   engine_.rt_.add_closed(probe::Phase::kGuardRetry,
@@ -466,11 +432,9 @@ void StreamEngine::flush_fused_window(const Window& win) {
   const auto cap = static_cast<std::uint32_t>(opts_.batch) *
                    (pipelined_ ? 2u : 1u);
   const auto op = static_cast<int>(kernels::SPU_Run_Fused);
-  std::vector<FusedLane> lanes = engine_.fused_lanes();
+  const std::vector<Lane>& lanes = engine_.fused_lanes_;
   for (std::size_t k = 0; k < lanes.size(); ++k) {
-    port::SPEInterface* raw =
-        lanes[k].gi != nullptr ? lanes[k].gi->iface() : lanes[k].iface;
-    port::SPEInterface* iface = ensure_ring(raw, cap);
+    port::SPEInterface* iface = ensure_ring(lanes[k].ring(), cap);
     if (iface == nullptr) continue;  // guarded + closed: wait resolves it
     int enqueued = 0;
     for (std::size_t j = 0; j < count; ++j) {
@@ -484,25 +448,22 @@ void StreamEngine::flush_fused_window(const Window& win) {
 }
 
 void StreamEngine::wait_fused_window(const Window& win) {
-  std::vector<FusedLane> lanes = engine_.fused_lanes();
+  const std::vector<Lane>& lanes = engine_.fused_lanes_;
   for (std::size_t k = 0; k < lanes.size(); ++k) {
     Window live;
     for (PerImage* pi : win) {
       if (!pi->fused_rows[k].empty()) live.push_back(pi);
     }
     if (live.empty()) continue;
-    wait_batch(
-        lanes[k].gi != nullptr ? lanes[k].gi->iface() : lanes[k].iface,
-        live.size(), "fused extract",
-        [&](std::size_t i) { rerun_fused_lane(k, *live[i]); });
+    wait_batch(lanes[k].ring(), live.size(), "fused extract",
+               [&](std::size_t i) { rerun_fused_lane(k, *live[i]); });
   }
 }
 
 void StreamEngine::rerun_fused_lane(std::size_t k, PerImage& pi) {
   ++stats_.request_retries;
-  std::vector<FusedLane> lanes = engine_.fused_lanes();
   const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r = lanes[k].gi->Call(
+  guard::GuardedInterface::Result r = engine_.fused_lanes_[k].gi->Call(
       static_cast<int>(kernels::SPU_Run_Fused), pi.fused_msgs[k].ea());
   engine_.rt_.add_closed(probe::Phase::kGuardRetry,
                          "fused[" + std::to_string(k) + "]", retry_t0,
@@ -545,9 +506,10 @@ void StreamEngine::flush_extract_slot(const Window& win, int s) {
   const std::size_t count = win.size();
   const auto cap = static_cast<std::uint32_t>(opts_.batch) *
                    (pipelined_ ? 2u : 1u);
-  port::SPEInterface* iface = ensure_ring(extract_iface(s), cap);
+  port::SPEInterface* iface =
+      ensure_ring(engine_.slots_[s].extract.ring(), cap);
   if (iface == nullptr) return;  // guarded + closed: resolved in the wait
-  const int opcode = engine_.guarded_opcode(engine_.slots_[s]);
+  const int opcode = engine_.extract_opcode(engine_.slots_[s]);
   for (std::size_t j = 0; j < count; ++j) {
     iface->Enqueue(opcode, win[j]->sb[s].msg.ea());
   }
@@ -563,7 +525,7 @@ void StreamEngine::wait_extract_slot(const Window& win, int s) {
     wait_shard_slot(win, s);
     return;
   }
-  wait_batch(extract_iface(s), win.size(), "extract",
+  wait_batch(engine_.slots_[s].extract.ring(), win.size(), "extract",
              [&](std::size_t j) { rerun_extract(s, *win[j]); });
 }
 
@@ -597,7 +559,8 @@ void StreamEngine::run_detect(const Window& win) {
     // Each slot's detection rides its own ring (one doorbell per slot).
     const auto cap = static_cast<std::uint32_t>(opts_.batch);
     for (int s = 0; s < 4; ++s) {
-      port::SPEInterface* iface = ensure_ring(detect_iface(s), cap);
+      port::SPEInterface* iface =
+          ensure_ring(engine_.slots_[s].detect.ring(), cap);
       if (iface != nullptr) {
         for (PerImage* pi : win) {
           iface->Enqueue(spu_run, pi->sb[s].detect_msg.ea());
@@ -613,7 +576,8 @@ void StreamEngine::run_detect(const Window& win) {
   // Shared concept-detection SPE: all 4*count requests ride one ring
   // behind one doorbell.
   const auto cap = static_cast<std::uint32_t>(opts_.batch) * 4u;
-  port::SPEInterface* iface = ensure_ring(detect_iface(0), cap);
+  port::SPEInterface* iface =
+      ensure_ring(engine_.slots_[0].detect.ring(), cap);
   if (iface != nullptr) {
     for (PerImage* pi : win) {
       for (int s = 0; s < 4; ++s) {
@@ -650,7 +614,7 @@ void StreamEngine::collect_window(const Window& win,
       ds[s]->values.assign(sb.scores.data(),
                            sb.scores.data() + scored_models_[s]);
     }
-    if (engine_.guard_.enabled) result.degraded = std::move(pi.degraded);
+    result.degraded = std::move(pi.degraded);
     engine_.note_image_done();
     completions_.push_back(ppe.now_ns());
     out->push_back(std::move(result));
@@ -660,8 +624,8 @@ void StreamEngine::collect_window(const Window& win,
 void StreamEngine::rerun_extract(int s, PerImage& pi) {
   ++stats_.request_retries;
   const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r = extract_guard(s)->Call(
-      engine_.guarded_opcode(engine_.slots_[s]), pi.sb[s].msg.ea());
+  guard::GuardedInterface::Result r = engine_.slots_[s].extract.gi->Call(
+      engine_.extract_opcode(engine_.slots_[s]), pi.sb[s].msg.ea());
   engine_.rt_.add_closed(probe::Phase::kGuardRetry,
                          engine_.slots_[s].name, retry_t0,
                          engine_.machine_.ppe().now_ns());
@@ -671,7 +635,7 @@ void StreamEngine::rerun_extract(int s, PerImage& pi) {
 void StreamEngine::rerun_detect(int s, PerImage& pi) {
   ++stats_.request_retries;
   const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r = detect_guard(s)->Call(
+  guard::GuardedInterface::Result r = engine_.slots_[s].detect.gi->Call(
       static_cast<int>(kernels::SPU_Run), pi.sb[s].detect_msg.ea());
   engine_.rt_.add_closed(probe::Phase::kGuardRetry,
                          std::string("cd:") + engine_.slots_[s].name,
@@ -987,7 +951,7 @@ void StreamEngine::run_balanced(
   // A malformed image or an unguarded kernel fault aborts the stream;
   // the loop's destructor then collects every task still on a lane, so
   // the engine stays usable.
-  StealLoop loop(ppe, rt, engine_.fused_lanes(),
+  StealLoop loop(ppe, rt, engine_.fused_lanes_,
                  [this](std::size_t r, std::size_t t) {
                    fallback_fused_range(request_buf(r), t,
                                         "fuse[task" + std::to_string(t) +

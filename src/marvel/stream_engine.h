@@ -111,10 +111,6 @@ class StreamEngine {
   /// request order.
   using Window = std::vector<PerImage*>;
 
-  port::SPEInterface* extract_iface(int s);
-  port::SPEInterface* detect_iface(int s);
-  guard::GuardedInterface* extract_guard(int s);
-  guard::GuardedInterface* detect_guard(int s);
   /// Arms (or re-arms after a guard migration) a ring of >= `cap` slots;
   /// null when the guarded interface is currently closed.
   port::SPEInterface* ensure_ring(port::SPEInterface* iface,
@@ -154,7 +150,6 @@ class StreamEngine {
   void run_detect(const Window& win);
 
   // ---- cellshard flows (kSharded only) ----
-  port::SPEInterface* shard_iface(int s, int k);
   /// Enqueues + doorbells the window's requests on every shard ring of
   /// slot `s` (one doorbell per shard).
   void flush_shard_slot(const Window& win, int s);

@@ -519,31 +519,58 @@ TEST_F(BalancedEngine, StreamAfterQuarantineNeverIssuesToTheStrandedLane) {
 }
 
 TEST_F(BalancedEngine, UnguardedKernelFaultLeavesThePerCallEngineUsable) {
-  // An unguarded fused or balanced engine rethrows a kernel fault; the
-  // other lanes' calls must be collected first, or every later Send on
-  // them throws "Send while a call is in flight".
-  for (bool balanced : {false, true}) {
-    SCOPED_TRACE(balanced ? "balanced" : "fused");
-    auto configure = [&](CellEngine& e) {
-      if (balanced) {
-        e.set_balanced(true);
-      } else {
-        e.set_fused(true);
+  // An unguarded engine rethrows a kernel fault; every other SPE call
+  // still in flight must be collected first, or every later Send on
+  // those SPEs throws "Send while a call is in flight" (and the image
+  // is freed under the running kernels). Per-feature, fused and
+  // balanced schedules, per call and pipelined.
+  enum class Mode { kFeature, kFused, kBalanced };
+  const struct {
+    Scenario scenario;
+    Mode mode;
+    const char* name;
+  } cases[] = {
+      {Scenario::kMultiSPE, Mode::kFeature, "multi/feature"},
+      {Scenario::kMultiSPE2, Mode::kFeature, "multi2/feature"},
+      {Scenario::kSharded, Mode::kFeature, "sharded/feature"},
+      {Scenario::kSharded, Mode::kFused, "sharded/fused"},
+      {Scenario::kSharded, Mode::kBalanced, "sharded/balanced"},
+  };
+  for (const auto& c : cases) {
+    for (bool pipelined : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (pipelined ? "/pipelined" : "/analyze"));
+      auto configure = [&](CellEngine& e) {
+        e.set_fused(c.mode == Mode::kFused);
+        e.set_balanced(c.mode == Mode::kBalanced);
+      };
+      auto run = [&](CellEngine& e) {
+        if (pipelined) return e.analyze_batch_pipelined(dataset_->images);
+        std::vector<AnalysisResult> out;
+        for (const auto& image : dataset_->images) {
+          out.push_back(e.analyze(image));
+        }
+        return out;
+      };
+      sim::Machine m1;
+      CellEngine clean(m1, library_path(), c.scenario);
+      configure(clean);
+      sim::Machine m2;
+      CellEngine faulted(m2, library_path(), c.scenario);
+      configure(faulted);
+      sim::FaultInjection f;
+      f.dma_error_after = 2;
+      m2.spe(1).inject_fault(f);
+      EXPECT_THROW(run(faulted), cellport::Error);
+      const std::vector<AnalysisResult> want = run(clean);
+      for (int again = 0; again < 2; ++again) {
+        std::vector<AnalysisResult> got;
+        ASSERT_NO_THROW(got = run(faulted));
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          expect_bitwise_equal(got[i], want[i]);
+        }
       }
-    };
-    sim::Machine m1;
-    CellEngine clean(m1, library_path(), Scenario::kSharded);
-    configure(clean);
-    sim::Machine m2;
-    CellEngine faulted(m2, library_path(), Scenario::kSharded);
-    configure(faulted);
-    sim::FaultInjection f;
-    f.dma_error_after = 2;
-    m2.spe(1).inject_fault(f);
-    EXPECT_THROW(faulted.analyze(dataset_->images[0]), cellport::Error);
-    for (std::size_t i = 0; i < 2; ++i) {
-      expect_bitwise_equal(faulted.analyze(dataset_->images[i]),
-                           clean.analyze(dataset_->images[i]));
     }
   }
 }

@@ -304,6 +304,82 @@ TEST_F(PipelinedBatch, MultiSpe2VariantMatchesToo) {
   EXPECT_EQ(batch[1].tx_detect.values, ref.tx_detect.values);
 }
 
+TEST_F(PipelinedBatch, NaiveEngineRunsTheNaiveKernels) {
+  // A batch runs analyze()'s per-image schedule, naive opcodes
+  // included: same values, and the extract SPEs do exactly the work the
+  // per-call naive path does.
+  auto run = [&](bool pipelined, std::vector<marvel::AnalysisResult>* out) {
+    sim::Machine machine;
+    marvel::CellEngine engine(machine, library_path(),
+                              marvel::Scenario::kMultiSPE,
+                              kernels::kDoubleBuffer, /*use_naive=*/true);
+    if (pipelined) {
+      *out = engine.analyze_batch_pipelined(data_->images);
+    } else {
+      for (const auto& image : data_->images) {
+        out->push_back(engine.analyze(image));
+      }
+    }
+    std::vector<double> busy;
+    for (int spe = 0; spe < 4; ++spe) {
+      busy.push_back(machine.spe(spe).busy_ns());
+    }
+    return busy;
+  };
+  std::vector<marvel::AnalysisResult> batch, per_call;
+  const std::vector<double> batch_busy = run(true, &batch);
+  const std::vector<double> per_call_busy = run(false, &per_call);
+  EXPECT_EQ(batch_busy, per_call_busy);
+  ASSERT_EQ(batch.size(), per_call.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const marvel::AnalysisResult& a = batch[i];
+    const marvel::AnalysisResult& b = per_call[i];
+    EXPECT_EQ(a.color_histogram.values, b.color_histogram.values);
+    EXPECT_EQ(a.color_correlogram.values, b.color_correlogram.values);
+    EXPECT_EQ(a.texture.values, b.texture.values);
+    EXPECT_EQ(a.edge_histogram.values, b.edge_histogram.values);
+    EXPECT_EQ(a.ch_detect.values, b.ch_detect.values);
+    EXPECT_EQ(a.cc_detect.values, b.cc_detect.values);
+    EXPECT_EQ(a.tx_detect.values, b.tx_detect.values);
+    EXPECT_EQ(a.eh_detect.values, b.eh_detect.values);
+  }
+}
+
+TEST_F(PipelinedBatch, MalformedNextImageLeavesTheEngineUsable) {
+  // Image i+1 decodes while image i's kernels run. A carrier that fails
+  // to decode aborts the batch, but only after image i's calls are
+  // collected: no kernel reads a freed image, and the engine serves the
+  // next call bit-exactly.
+  img::SicEncoded bad = data_->images[1];
+  bad.bytes.resize(10);
+  const std::vector<img::SicEncoded> batch = {data_->images[0], bad};
+  for (marvel::Scenario scenario :
+       {marvel::Scenario::kMultiSPE, marvel::Scenario::kSharded}) {
+    for (bool guarded : {false, true}) {
+      SCOPED_TRACE(std::string(scenario == marvel::Scenario::kSharded
+                                   ? "sharded"
+                                   : "multi") +
+                   (guarded ? "/guarded" : "/plain"));
+      guard::GuardPolicy policy;
+      policy.enabled = guarded;
+      sim::Machine m1;
+      marvel::CellEngine clean(m1, library_path(), scenario,
+                               kernels::kDoubleBuffer, false, policy);
+      sim::Machine m2;
+      marvel::CellEngine engine(m2, library_path(), scenario,
+                                kernels::kDoubleBuffer, false, policy);
+      EXPECT_THROW(engine.analyze_batch_pipelined(batch), IoError);
+      marvel::AnalysisResult got;
+      ASSERT_NO_THROW(got = engine.analyze(data_->images[0]));
+      const marvel::AnalysisResult want = clean.analyze(data_->images[0]);
+      EXPECT_EQ(got.color_histogram.values, want.color_histogram.values);
+      EXPECT_EQ(got.texture.values, want.texture.values);
+      EXPECT_EQ(got.cc_detect.values, want.cc_detect.values);
+      EXPECT_TRUE(got.degraded.empty());
+    }
+  }
+}
+
 // ---- CH LUT variant ----
 
 TEST(ChLutKernel, TradesAccuracyForSpeed) {
