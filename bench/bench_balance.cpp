@@ -36,6 +36,9 @@
 //   - a fault-free guarded balanced stream's images/s does not decrease
 //     from batch 1 to 16 to 64 (the per-request pipeline overlaps decode
 //     with extraction whatever the admission batch);
+//   - with SIC block rows decoded on the SPEs (celldecode), the PPE keeps
+//     less than half of the plain decode's time per image (the
+//     balanced_stream_spe_decode row: PPE and SPE decode ns per image);
 //   - on the dup_fraction=0.5 corpus the cached engine's per-call
 //     throughput is >= 1.5x the cold engine's;
 //   - the cache hit count equals the corpus's duplicate count (every
@@ -49,6 +52,10 @@
 
 #include "guard/guarded_interface.h"
 #include "harness.h"
+#include "img/codec.h"
+#include "kernels/ch_kernel.h"
+#include "kernels/decode_kernel.h"
+#include "port/spe_interface.h"
 #include "support/stats.h"
 
 using namespace cellport;
@@ -269,6 +276,54 @@ int main(int argc, char** argv) {
     ok &= artifact.shape(monotone,
                          "balanced stream images/s does not decrease from "
                          "batch 1 to 16 to 64");
+  }
+
+  // ---- celldecode: where a SIC image's decode time goes ----
+  // The same corpus, image by image: the PPE-serial part a balanced
+  // engine keeps (disk read + Huffman + the validating token scan), the
+  // plain PPE decode it replaces, and the SPE busy time of the image's
+  // block-row tasks (one task per block row, on one SPE).
+  {
+    marvel::Dataset corpus =
+        marvel::make_mixed_size_dataset(kBatchImages, 2007);
+    sim::Machine machine(sim::Machine::Config{1});
+    port::SPEInterface iface(kernels::ch_module());
+    kernels::DecodeTasks tasks;
+    double ppe_ns = 0;
+    double plain_ns = 0;
+    double spe_ns = 0;
+    bool all_on_spes = true;
+    for (const auto& image : corpus.images) {
+      sim::ScalarContext plain(sim::cell_ppe());
+      img::SicDecoder full(image, &plain, /*charge_io=*/true);
+      while (full.step()) {
+      }
+      plain_ns += plain.now_ns();
+      sim::ScalarContext ppe(sim::cell_ppe());
+      img::SicDecoder dec(image, &ppe, /*charge_io=*/true, {},
+                          /*index_rows=*/true);
+      while (dec.step()) {
+      }
+      ppe_ns += ppe.now_ns();
+      all_on_spes = all_on_spes && tasks.prepare(dec);
+      const double busy0 = iface.spe().busy_ns();
+      for (std::uint64_t ea : tasks.eas()) {
+        iface.SendAndWait(static_cast<int>(kernels::SPU_Run_Decode), ea);
+      }
+      spe_ns += iface.spe().busy_ns() - busy0;
+    }
+    const auto n = static_cast<double>(corpus.images.size());
+    std::printf("SIC decode split, %d images (per image): PPE plain %.0f us "
+                "-> PPE scan path %.0f us + SPE block rows %.0f us\n\n",
+                kBatchImages, plain_ns / n / 1e3, ppe_ns / n / 1e3,
+                spe_ns / n / 1e3);
+    artifact.add_row("balanced_stream_spe_decode",
+                     {{"ppe_decode_ns", ppe_ns / n},
+                      {"ppe_plain_decode_ns", plain_ns / n},
+                      {"spe_decode_ns", spe_ns / n}});
+    ok &= artifact.shape(all_on_spes && 2 * ppe_ns < plain_ns,
+                         "with SIC block rows on the SPEs the PPE keeps "
+                         "less than half of the plain decode");
   }
 
   // ---- experiment 2: repeated traffic through the content cache ----

@@ -163,7 +163,8 @@ int main(int argc, char** argv) {
         if (batch == 16) {
           multi_ring16_ips = stats.images_per_sec;
           sim::collect_metrics(machine, machine.metrics());
-          artifact.add_machine_metrics(machine.metrics(), "multi_ring16.");
+          artifact.add_machine_metrics(machine.metrics(), "multi_ring16.",
+                                       /*simulated_only=*/true);
         }
       }
     }
@@ -204,7 +205,8 @@ int main(int argc, char** argv) {
       if (feed) {
         feed_ips = stats.images_per_sec;
         sim::collect_metrics(machine, machine.metrics());
-        artifact.add_machine_metrics(machine.metrics(), "feed_ring16.");
+        artifact.add_machine_metrics(machine.metrics(), "feed_ring16.",
+                                     /*simulated_only=*/true);
         feed_images = static_cast<double>(
             machine.metrics().counter("feed.images").value());
         feed_fallbacks = static_cast<double>(
@@ -270,8 +272,8 @@ int main(int argc, char** argv) {
         engine.analyze_stream(data.images, {16}, &stats);
         if (fused) {
           sim::collect_metrics(machine, machine.metrics());
-          artifact.add_machine_metrics(machine.metrics(),
-                                       "fused_ring16.");
+          artifact.add_machine_metrics(machine.metrics(), "fused_ring16.",
+                                       /*simulated_only=*/true);
           fuse_images = static_cast<double>(
               machine.metrics().counter("fuse.images").value());
         }

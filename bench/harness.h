@@ -131,13 +131,20 @@ class BenchArtifact {
   void set_metric(const std::string& name, double v) { metrics_[name] = v; }
 
   /// Folds a machine's metric series into the artifact: counters and
-  /// gauges verbatim, histograms as .count/.mean/.p95 summaries.
+  /// gauges verbatim, histograms as .count/.mean/.p95 summaries. With
+  /// `simulated_only`, the one host-timed series is left out: a ring
+  /// stream's `spe<i>.mbox.in_max_depth` is the functional queue's
+  /// high-water mark and changes with host thread scheduling.
   void add_machine_metrics(const trace::MetricsRegistry& m,
-                           const std::string& prefix = "") {
+                           const std::string& prefix = "",
+                           bool simulated_only = false) {
     for (const auto& [name, c] : m.counters()) {
       metrics_[prefix + name] = static_cast<double>(c->value());
     }
-    for (const auto& [name, g] : m.gauges()) metrics_[prefix + name] = g->value();
+    for (const auto& [name, g] : m.gauges()) {
+      if (simulated_only && name.ends_with(".mbox.in_max_depth")) continue;
+      metrics_[prefix + name] = g->value();
+    }
     for (const auto& [name, h] : m.histograms()) {
       metrics_[prefix + name + ".count"] = static_cast<double>(h->count());
       metrics_[prefix + name + ".mean"] = h->mean();

@@ -11,6 +11,8 @@
 // (--out, default cellcheck.failure.json). All stdout is derived from
 // seeds and simulated time only — two identical invocations print
 // byte-identical logs.
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -183,14 +185,27 @@ void report_failure(const ScenarioSpec& spec, const RunOutcome& outcome,
               opts.out_path.c_str());
 }
 
+/// The generated default model library: one file per process, so
+/// concurrent runs (ctest's corpus replays) never share one, removed when
+/// the run ends.
+struct GeneratedLibrary {
+  std::string path;
+  ~GeneratedLibrary() {
+    if (!path.empty()) std::remove(path.c_str());
+  }
+};
+
 int run(const Options& opts) {
   RunConfig cfg;
   cfg.library_path = opts.library_path;
+  GeneratedLibrary generated;
   if (cfg.library_path.empty()) {
     // A reduced library (2 extra inactive concepts instead of 34) keeps
     // per-scenario model-load cost small without changing the active
     // model set the oracle compares against.
-    cfg.library_path = "/tmp/cellcheck_models.bin";
+    generated.path =
+        "/tmp/cellcheck_models_" + std::to_string(::getpid()) + ".bin";
+    cfg.library_path = generated.path;
     cellport::learn::save_library(cfg.library_path,
                                   cellport::learn::make_marvel_models(),
                                   /*extra_concepts_per_feature=*/2);

@@ -133,12 +133,12 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-std::uint32_t get_varint(const std::vector<std::uint8_t>& in,
+std::uint32_t get_varint(const std::uint8_t* in, std::size_t n,
                          std::size_t& pos) {
   std::uint32_t v = 0;
   int shift = 0;
   for (;;) {
-    if (pos >= in.size()) throw cellport::IoError("truncated SIC stream");
+    if (pos >= n) throw cellport::IoError("truncated SIC stream");
     std::uint8_t b = in[pos++];
     v |= static_cast<std::uint32_t>(b & 0x7F) << shift;
     if ((b & 0x80) == 0) return v;
@@ -160,7 +160,133 @@ inline void chg(sim::ScalarContext* ctx, sim::OpClass c,
   if (ctx != nullptr) ctx->charge(c, n);
 }
 
+/// DC deltas accumulate modulo 2^32: a hostile stream must not overflow.
+int add_dc(int prev, std::uint32_t token) {
+  return static_cast<int>(static_cast<std::uint32_t>(prev) +
+                          static_cast<std::uint32_t>(zz_dec(token)));
+}
+
+/// The AC run check shared by the scan and the row decode: a run token
+/// `tok` (run + 1) must leave the next coefficient inside the block.
+void check_run(std::uint32_t tok, int i) {
+  if (tok - 1 >= static_cast<std::uint32_t>(64 - i)) {
+    throw cellport::IoError("SIC run overflow");
+  }
+}
+
+/// Decodes one (channel `ch`, block row `by`) of the token stream into
+/// `img`, starting at token byte `pos` with DC predictor `prev_dc` (both
+/// advanced). The one row decode: the plain decode's row slices and the
+/// PPE mirror of an SPE decode task both run it.
+void decode_block_row(const std::uint8_t* tokens, std::size_t ntok,
+                      std::size_t& pos, int& prev_dc,
+                      const std::array<int, 64>& quant, int bw, int ch,
+                      int by, RgbImage& img, sim::ScalarContext* ctx) {
+  const int w = img.width();
+  const int h = img.height();
+  for (int bx = 0; bx < bw; ++bx) {
+    int qv[64] = {};
+    prev_dc = add_dc(prev_dc, get_varint(tokens, ntok, pos));
+    qv[0] = prev_dc;
+    int i = 1;
+    int nz_ac = 0;
+    for (;;) {
+      std::uint32_t tok = get_varint(tokens, ntok, pos);
+      chg(ctx, sim::OpClass::kLoad, 2);
+      chg(ctx, sim::OpClass::kIntAlu, 4);
+      chg(ctx, sim::OpClass::kBranch, 2);
+      if (tok == 0) break;  // end of block
+      check_run(tok, i);
+      i += static_cast<int>(tok) - 1;
+      qv[i++] = zz_dec(get_varint(tokens, ntok, pos));
+      ++nz_ac;
+    }
+    float blk[kBlock][kBlock];
+    if (nz_ac == 0) {
+      // DC-only fast path (most blocks of smooth regions): the whole
+      // block is one constant. Same association as the general path:
+      // (dc*q * c00) * c00.
+      chg(ctx, sim::OpClass::kMul, 3);
+      chg(ctx, sim::OpClass::kStore, 64);
+      chg(ctx, sim::OpClass::kIntAlu, 64);
+      float c00 = basis().c[0][0];
+      float v =
+          (static_cast<float>(qv[0]) * static_cast<float>(quant[0]) * c00) *
+          c00;
+      for (auto& row : blk) {
+        for (float& x : row) x = v;
+      }
+    } else {
+      // Dequantize the nonzeros + fast separable IDCT (32 mul + 32 add
+      // per 1-D pass; all-zero columns are skipped).
+      float coef[kBlock][kBlock] = {};
+      for (int k = 0; k < 64; ++k) {
+        int idx = kZigzag[k];
+        coef[idx / kBlock][idx % kBlock] =
+            static_cast<float>(qv[k]) * static_cast<float>(quant[idx]);
+      }
+      int passes = idct8x8(coef, blk);
+      chg(ctx, sim::OpClass::kMul, static_cast<std::uint64_t>(nz_ac) + 1);
+      chg(ctx, sim::OpClass::kFloatAlu,
+          static_cast<std::uint64_t>(passes) * 32);
+      chg(ctx, sim::OpClass::kMul, static_cast<std::uint64_t>(passes) * 32);
+      chg(ctx, sim::OpClass::kIntAlu, 64 * 2);
+      chg(ctx, sim::OpClass::kStore, 64);
+    }
+    for (int y = 0; y < kBlock; ++y) {
+      int sy = by * kBlock + y;
+      if (sy >= h) break;
+      for (int x = 0; x < kBlock; ++x) {
+        int sx = bx * kBlock + x;
+        if (sx >= w) break;
+        img.at(sx, sy, ch) = static_cast<std::uint8_t>(
+            std::clamp(std::lround(blk[y][x] + 128.0f), 0l, 255l));
+      }
+    }
+  }
+}
+
+/// The validating scan of one (channel, block row): the row decode's
+/// token parse, same checks and same IoError text, without the pixel
+/// work. Charges the parse the row decode charges per token, plus the
+/// two index stores.
+void scan_block_row(const std::uint8_t* tokens, std::size_t ntok,
+                    std::size_t& pos, int& prev_dc, int bw,
+                    sim::ScalarContext* ctx) {
+  std::uint64_t parsed = 0;
+  for (int bx = 0; bx < bw; ++bx) {
+    prev_dc = add_dc(prev_dc, get_varint(tokens, ntok, pos));
+    int i = 1;
+    for (;;) {
+      std::uint32_t tok = get_varint(tokens, ntok, pos);
+      ++parsed;
+      if (tok == 0) break;
+      check_run(tok, i);
+      i += static_cast<int>(tok) - 1;
+      get_varint(tokens, ntok, pos);
+      ++i;
+    }
+  }
+  chg(ctx, sim::OpClass::kLoad, 2 * parsed);
+  chg(ctx, sim::OpClass::kIntAlu, 4 * parsed);
+  chg(ctx, sim::OpClass::kBranch, 2 * parsed);
+  chg(ctx, sim::OpClass::kStore, 2);
+}
+
 }  // namespace
+
+const std::array<std::uint8_t, 64>& sic_zigzag() { return kZigzag; }
+
+const std::array<float, 64>& sic_dct_basis() {
+  static const std::array<float, 64> flat = [] {
+    std::array<float, 64> f{};
+    for (int k = 0; k < kBlock; ++k) {
+      for (int n = 0; n < kBlock; ++n) f[k * kBlock + n] = basis().c[k][n];
+    }
+    return f;
+  }();
+  return flat;
+}
 
 SicEncoded sic_encode(const RgbImage& src, int quality) {
   SicEncoded enc;
@@ -263,10 +389,11 @@ RgbImage sic_decode(const SicEncoded& enc, sim::ScalarContext* ctx) {
 }
 
 SicDecoder::SicDecoder(const SicEncoded& enc, sim::ScalarContext* ctx,
-                       bool charge_io, RgbImage storage)
+                       bool charge_io, RgbImage storage, bool index_rows)
     : enc_(enc),
       ctx_(ctx),
       stage_(charge_io && ctx != nullptr ? Stage::kIo : Stage::kHeader),
+      index_rows_(index_rows),
       img_(std::move(storage)) {}
 
 bool SicDecoder::step() {
@@ -280,7 +407,7 @@ bool SicDecoder::step() {
       decode_header();
       break;
     case Stage::kRows:
-      decode_block_row();
+      row_slice();
       break;
     case Stage::kDone:
       break;
@@ -319,9 +446,10 @@ void SicDecoder::decode_header() {
     throw cellport::IoError("bad SIC magic");
   }
   std::size_t hdr = 4;
-  int w = static_cast<int>(get_varint(bytes, hdr));
-  int h = static_cast<int>(get_varint(bytes, hdr));
-  int quality = static_cast<int>(get_varint(bytes, hdr));
+  int w = static_cast<int>(get_varint(bytes.data(), bytes.size(), hdr));
+  int h = static_cast<int>(get_varint(bytes.data(), bytes.size(), hdr));
+  int quality =
+      static_cast<int>(get_varint(bytes.data(), bytes.size(), hdr));
   // Entropy-decode the token stream; the block rows parse it.
   tokens_ = huffman_decode(bytes, hdr, ctx_);
   if (w <= 0 || h <= 0 || w > 1 << 16 || h > 1 << 16) {
@@ -331,78 +459,51 @@ void SicDecoder::decode_header() {
   img_.reshape(w, h);
   bw_ = (w + kBlock - 1) / kBlock;
   bh_ = (h + kBlock - 1) / kBlock;
+  ntok_ = tokens_.size();
+  if (index_rows_) {
+    // Zero-pad the stream to a 16-byte multiple so an SPE may DMA any
+    // aligned window covering a row (operator new already aligns the
+    // storage to 16 bytes); the parse still stops at ntok_.
+    tokens_.resize(cellport::round_up(ntok_ + 1, 16), 0);
+    row_pos_.assign(static_cast<std::size_t>(3 * bh_) + 1, 0);
+    row_dc_.assign(static_cast<std::size_t>(3 * bh_), 0);
+  }
   stage_ = Stage::kRows;
 }
 
-void SicDecoder::decode_block_row() {
-  const int w = img_.width();
-  const int h = img_.height();
-  sim::ScalarContext* ctx = ctx_;
+void SicDecoder::row_slice() {
   if (by_ == 0) prev_dc_ = 0;  // DC deltas restart with each channel
-  const int by = by_;
-  for (int bx = 0; bx < bw_; ++bx) {
-    int qv[64] = {};
-    prev_dc_ += zz_dec(get_varint(tokens_, pos_));
-    qv[0] = prev_dc_;
-    int i = 1;
-    int nz_ac = 0;
-    for (;;) {
-      std::uint32_t tok = get_varint(tokens_, pos_);
-      chg(ctx, sim::OpClass::kLoad, 2);
-      chg(ctx, sim::OpClass::kIntAlu, 4);
-      chg(ctx, sim::OpClass::kBranch, 2);
-      if (tok == 0) break;  // end of block
-      i += static_cast<int>(tok) - 1;
-      if (i >= 64) throw cellport::IoError("SIC run overflow");
-      qv[i++] = zz_dec(get_varint(tokens_, pos_));
-      ++nz_ac;
-    }
-    float blk[kBlock][kBlock];
-    if (nz_ac == 0) {
-      // DC-only fast path (most blocks of smooth regions): the whole
-      // block is one constant. Same association as the general path:
-      // (dc*q * c00) * c00.
-      chg(ctx, sim::OpClass::kMul, 3);
-      chg(ctx, sim::OpClass::kStore, 64);
-      chg(ctx, sim::OpClass::kIntAlu, 64);
-      float c00 = basis().c[0][0];
-      float v =
-          (static_cast<float>(qv[0]) * static_cast<float>(quant_[0]) * c00) *
-          c00;
-      for (auto& row : blk) {
-        for (float& x : row) x = v;
-      }
-    } else {
-      // Dequantize the nonzeros + fast separable IDCT (32 mul + 32 add
-      // per 1-D pass; all-zero columns are skipped).
-      float coef[kBlock][kBlock] = {};
-      for (int k = 0; k < 64; ++k) {
-        int idx = kZigzag[k];
-        coef[idx / kBlock][idx % kBlock] =
-            static_cast<float>(qv[k]) * static_cast<float>(quant_[idx]);
-      }
-      int passes = idct8x8(coef, blk);
-      chg(ctx, sim::OpClass::kMul, static_cast<std::uint64_t>(nz_ac) + 1);
-      chg(ctx, sim::OpClass::kFloatAlu,
-          static_cast<std::uint64_t>(passes) * 32);
-      chg(ctx, sim::OpClass::kMul, static_cast<std::uint64_t>(passes) * 32);
-      chg(ctx, sim::OpClass::kIntAlu, 64 * 2);
-      chg(ctx, sim::OpClass::kStore, 64);
-    }
-    for (int y = 0; y < kBlock; ++y) {
-      int sy = by * kBlock + y;
-      if (sy >= h) break;
-      for (int x = 0; x < kBlock; ++x) {
-        int sx = bx * kBlock + x;
-        if (sx >= w) break;
-        img_.at(sx, sy, ch_) = static_cast<std::uint8_t>(
-            std::clamp(std::lround(blk[y][x] + 128.0f), 0l, 255l));
-      }
-    }
+  if (index_rows_) {
+    const auto at = static_cast<std::size_t>(ch_ * bh_ + by_);
+    row_pos_[at] = static_cast<std::uint32_t>(pos_);
+    row_dc_[at] = prev_dc_;
+    scan_block_row(tokens_.data(), ntok_, pos_, prev_dc_, bw_, ctx_);
+  } else {
+    decode_block_row(tokens_.data(), ntok_, pos_, prev_dc_, quant_, bw_, ch_,
+                     by_, img_, ctx_);
   }
   if (++by_ == bh_) {
     by_ = 0;
-    if (++ch_ == 3) stage_ = Stage::kDone;
+    if (++ch_ == 3) {
+      stage_ = Stage::kDone;
+      if (index_rows_) {
+        row_pos_.back() = static_cast<std::uint32_t>(pos_);
+        indexed_ = true;
+      }
+    }
+  }
+}
+
+void SicDecoder::decode_rows(int by, sim::ScalarContext* ctx) {
+  if (!indexed_ || by < 0 || by >= bh_) {
+    throw cellport::ConfigError("SicDecoder::decode_rows outside the index");
+  }
+  for (int c = 0; c < 3; ++c) {
+    const auto at = static_cast<std::size_t>(c * bh_ + by);
+    std::size_t pos = row_pos_[at];
+    int dc = row_dc_[at];
+    decode_block_row(tokens_.data(), ntok_, pos, dc, quant_, bw_, c, by, img_,
+                     ctx);
   }
 }
 

@@ -47,6 +47,14 @@ bool is_ppm(const SicEncoded& enc);
 RgbImage sic_decode(const SicEncoded& enc,
                     sim::ScalarContext* ctx = nullptr);
 
+/// celldecode: the tables the SPE decode kernel (SPU_Run_Decode) shares
+/// with the PPE decoder, so both compute the same floats. Zigzag: token k
+/// of a block lands at natural (row-major) index sic_zigzag()[k]. Basis:
+/// the separable 8-point DCT-II basis c[k][n] at index k * 8 + n.
+inline constexpr int kSicBlock = 8;
+const std::array<std::uint8_t, 64>& sic_zigzag();
+const std::array<float, 64>& sic_dct_basis();
+
 /// The one decode implementation, resumable: each step() runs one slice
 /// of PPE-serial work so a caller can interleave its own between slices
 /// (the streaming pipeline services finished SPE tasks there). Slices, in
@@ -55,29 +63,65 @@ RgbImage sic_decode(const SicEncoded& enc,
 /// block row). Run to completion it issues exactly sic_decode's charges
 /// in the same order, and throws the same IoError from the slice that
 /// meets the malformed bytes. `enc` must outlive the decoder.
+///
+/// With `index_rows` the per-(channel, block row) slices only scan the
+/// tokens instead: they validate the stream (throwing the same IoError
+/// the row decode would) and record where each block row starts and the
+/// DC predictor entering it. The pixels are then decoded block row by
+/// block row, in any order — by SPU_Run_Decode tasks, or on the PPE by
+/// decode_rows() — and take() hands the image over. A PPM carrier
+/// decodes whole in its header slice either way.
 class SicDecoder {
  public:
   /// `storage` is an earlier image whose pixel buffer the decode reuses
   /// (RgbImage::reshape) instead of allocating one.
   SicDecoder(const SicEncoded& enc, sim::ScalarContext* ctx = nullptr,
-             bool charge_io = false, RgbImage storage = {});
+             bool charge_io = false, RgbImage storage = {},
+             bool index_rows = false);
 
   /// Runs the next slice; true while more remain.
   bool step();
   bool done() const { return stage_ == Stage::kDone; }
-  /// The decoded image (once done()).
+  /// The decoded image (once done(); an indexed decoder's block rows
+  /// must have been decoded by then).
   RgbImage take();
+
+  // ---- index mode (after done()) ----
+  /// True when the scan indexed a SIC2 stream and no pixel is decoded.
+  bool indexed() const { return indexed_; }
+  int block_rows() const { return bh_; }
+  const std::array<int, 64>& quant() const { return quant_; }
+  /// Token byte offset of (channel c, block row by) at [c * block_rows()
+  /// + by]; the last entry is the end of the token stream.
+  const std::vector<std::uint32_t>& row_pos() const { return row_pos_; }
+  /// The DC predictor entering (channel c, block row by), same indexing.
+  const std::vector<std::int32_t>& row_dc() const { return row_dc_; }
+  /// The token stream: zero-padded to a 16-byte multiple, so an SPE may
+  /// DMA any 16-byte window covering a row (the storage is 16-byte
+  /// aligned, __STDCPP_DEFAULT_NEW_ALIGNMENT__ on the supported hosts).
+  const std::uint8_t* tokens() const { return tokens_.data(); }
+  /// The destination image (dimensions set, pixels zero until decoded).
+  RgbImage& image() { return img_; }
+  /// Decodes block row `by` of all three channels into image(), charging
+  /// `ctx` exactly what the plain decode charges for those three slices
+  /// (the PPE mirror of one SPU_Run_Decode task).
+  void decode_rows(int by, sim::ScalarContext* ctx);
 
  private:
   enum class Stage : std::uint8_t { kIo, kHeader, kRows, kDone };
   void decode_header();
-  void decode_block_row();
+  void row_slice();
 
   const SicEncoded& enc_;
   sim::ScalarContext* ctx_;
   Stage stage_;
+  bool index_rows_;
+  bool indexed_ = false;
   RgbImage img_;
   std::vector<std::uint8_t> tokens_;
+  std::size_t ntok_ = 0;  // token bytes (index mode pads tokens_ past it)
+  std::vector<std::uint32_t> row_pos_;
+  std::vector<std::int32_t> row_dc_;
   std::size_t pos_ = 0;
   std::array<int, 64> quant_{};
   int bw_ = 0;

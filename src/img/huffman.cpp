@@ -180,7 +180,9 @@ std::vector<std::uint8_t> huffman_decode(
   if (count > (std::uint64_t{1} << 32)) {
     throw cellport::IoError("implausible Huffman payload size");
   }
-  out.reserve(count);
+  // 16 bytes of slack: the SIC decoder's SPE path zero-pads the payload
+  // to a 16-byte multiple in place.
+  out.reserve(count + 16);
 
   if (pos + 256 > stream.size()) {
     throw cellport::IoError("truncated Huffman code table");

@@ -9,6 +9,7 @@
 #include "img/slice.h"
 #include "kernels/cc_window.h"
 #include "kernels/common.h"
+#include "kernels/decode_kernel.h"
 #include "kernels/feed_kernel.h"
 #include "kernels/fused_kernel.h"
 #include "kernels/hsv_simd.h"
@@ -238,7 +239,7 @@ port::KernelModule& cc_module() {
   static bool registered =
       (module.add_function(SPU_Run, &cc_run)
            .add_function(SPU_Run_Naive, &cc_run_naive),
-       register_feed(module), register_fused(module),
+       register_feed(module), register_fused(module), register_decode(module),
        true);
   (void)registered;
   return module;

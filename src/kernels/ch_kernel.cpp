@@ -4,6 +4,7 @@
 
 #include "img/color.h"
 #include "kernels/common.h"
+#include "kernels/decode_kernel.h"
 #include "kernels/feed_kernel.h"
 #include "kernels/fused_kernel.h"
 #include "kernels/hsv_simd.h"
@@ -261,7 +262,7 @@ port::KernelModule& ch_module() {
       (module.add_function(SPU_Run, &ch_run)
            .add_function(SPU_Run_Naive, &ch_run_naive)
            .add_function(SPU_Run_Lut, &ch_run_lut),
-       register_feed(module), register_fused(module), true);
+       register_feed(module), register_fused(module), register_decode(module), true);
   (void)registered;
   return module;
 }

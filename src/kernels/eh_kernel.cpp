@@ -8,6 +8,7 @@
 #include "img/slice.h"
 #include "kernels/common.h"
 #include "kernels/eh_edge.h"
+#include "kernels/decode_kernel.h"
 #include "kernels/feed_kernel.h"
 #include "kernels/fused_kernel.h"
 #include "kernels/messages.h"
@@ -232,7 +233,7 @@ port::KernelModule& eh_module() {
   static bool registered =
       (module.add_function(SPU_Run, &eh_run)
            .add_function(SPU_Run_Naive, &eh_run_naive),
-       register_feed(module), register_fused(module),
+       register_feed(module), register_fused(module), register_decode(module),
        true);
   (void)registered;
   return module;

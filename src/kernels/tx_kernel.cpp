@@ -5,6 +5,7 @@
 
 #include "features/texture.h"
 #include "kernels/common.h"
+#include "kernels/decode_kernel.h"
 #include "kernels/feed_kernel.h"
 #include "kernels/fused_kernel.h"
 #include "kernels/messages.h"
@@ -225,7 +226,7 @@ port::KernelModule& tx_module() {
   static port::KernelModule module("TXExtract", 31 * 1024);
   static bool registered =
       (module.add_function(SPU_Run, &tx_run), register_feed(module),
-       register_fused(module), true);
+       register_fused(module), register_decode(module), true);
   (void)registered;
   return module;
 }

@@ -19,6 +19,9 @@
 // hands it the next task — stealing into request i+1's tasks once they
 // are queued. Request i retires (reduce, detect, collect, completion
 // stamp) as soon as its own tasks finish, not at the end of a window.
+// celldecode: request i+1's SIC block rows decode as tasks in the same
+// queue (behind request i's extraction), so the PPE keeps only the disk
+// read, the Huffman pass and the token scan of each request.
 // Results are bit-exact with per-call analyze() on every path.
 #pragma once
 
@@ -127,10 +130,15 @@ class StreamEngine {
                    std::vector<AnalysisResult>* out);
   /// Decodes one image into `pi` and fills its messages (the PPE-side
   /// work that overlaps in-flight extraction in the pipelined flows).
-  /// `between_slices` runs between the PPE decode slices.
+  /// `between_slices` runs between the PPE decode slices; with `loop`, a
+  /// SIC carrier's block rows decode as owner `owner`'s tasks on it.
   void prepare_image(PerImage& pi, const img::SicEncoded& image,
-                     const std::function<void()>& between_slices = {});
+                     const std::function<void()>& between_slices = {},
+                     StealLoop* loop = nullptr, std::size_t owner = 0);
   int flush_ring(port::SPEInterface* iface);
+  /// Collects every batch still in flight on the engine's rings (best
+  /// effort): an aborted window stream's teardown.
+  void abandon_rings();
   /// Collects the oldest in-flight batch of `n` requests on `iface` and
   /// re-runs request i through `rerun(i)` when the ring could not
   /// deliver it: every request on a missed batch deadline or a closed

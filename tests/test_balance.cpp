@@ -433,11 +433,14 @@ TEST_F(BalancedEngine, QuarantinedLaneDrainsThroughTheOthers) {
 
   HungLaneEngine hung(library_path());
   AnalysisResult got = hung.engine->analyze(dataset_->images[0]);
-  // The hung lane's task degrades to the PPE mirror; every OTHER task
-  // steals onto live lanes and the reduction still matches bit-exactly.
+  // The hung lane's tasks degrade to the PPE mirrors — its first block
+  // row decode spends the context restart, its fused task is the second
+  // strike — while every OTHER task steals onto live lanes; pixels and
+  // the reduction still match bit-exactly.
   expect_bitwise_equal(got, want);
-  ASSERT_GE(got.degraded.size(), 4u);
-  EXPECT_EQ(got.degraded[0], "fuse:color_histogram");
+  ASSERT_EQ(got.degraded.size(), 5u);
+  EXPECT_EQ(got.degraded[0], "decode:rows");
+  EXPECT_EQ(got.degraded[1], "fuse:color_histogram");
 
   // Once quarantined, the stranded lane gets no task at all: the next
   // call runs undegraded on the live lanes, with no PPE fallback.
@@ -455,8 +458,8 @@ TEST_F(BalancedEngine, PipelinedBatchSkipsTheQuarantinedLane) {
   sim::Machine plain;
   CellEngine baseline(plain, library_path(), Scenario::kSharded);
   HungLaneEngine hung(library_path());
-  // Two discovery images, then the batch proper: only the discovery
-  // images degrade.
+  // The first image discovers the quarantine (a decode task and a fused
+  // task strike the hung SPE), then the batch proper: only it degrades.
   std::vector<img::SicEncoded> images = {
       dataset_->images[0], dataset_->images[0], dataset_->images[0],
       dataset_->images[1], dataset_->images[0]};
@@ -467,7 +470,7 @@ TEST_F(BalancedEngine, PipelinedBatchSkipsTheQuarantinedLane) {
   std::size_t degraded = 0;
   for (std::size_t i = 0; i < got.size(); ++i) {
     expect_bitwise_equal(got[i], baseline.analyze(images[i]));
-    EXPECT_EQ(got[i].degraded.empty(), i >= 2) << "image " << i;
+    EXPECT_EQ(got[i].degraded.empty(), i >= 1) << "image " << i;
     degraded += got[i].degraded.size();
   }
   EXPECT_EQ(hung.counter("guard.ppe_fallbacks"), degraded);
@@ -483,14 +486,21 @@ TEST_F(BalancedEngine, EveryLaneStrandedStillReachesThePpeMirror) {
   HungLaneEngine hung(library_path(), Scenario::kMultiSPE, 5, 4);
   for (std::size_t i = 0; i < 2; ++i) {
     const std::uint64_t tasks0 = hung.counter("steal.tasks");
+    const std::uint64_t rows0 = hung.counter("decode.ppe_fallbacks");
     const std::uint64_t fallbacks0 = hung.counter("guard.ppe_fallbacks");
     AnalysisResult got = hung.engine->analyze(dataset_->images[i]);
     expect_bitwise_equal(got, baseline.analyze(dataset_->images[i]));
     const std::uint64_t tasks = hung.counter("steal.tasks") - tasks0;
-    EXPECT_GT(tasks, 0u);
-    // Four degraded features per task, every one of them mirrored.
-    EXPECT_EQ(got.degraded.size(), 4 * tasks);
-    EXPECT_EQ(hung.counter("guard.ppe_fallbacks") - fallbacks0, 4 * tasks);
+    const std::uint64_t rows = hung.counter("decode.ppe_fallbacks") - rows0;
+    // Every block row decodes on the PPE, then every fused task does.
+    EXPECT_EQ(rows, static_cast<std::uint64_t>(
+                        (dataset_->images[i].height + 7) / 8));
+    ASSERT_GT(tasks, rows);
+    // One degraded record per decode task, four per fused task, every
+    // one of them mirrored.
+    const std::uint64_t want = rows + 4 * (tasks - rows);
+    EXPECT_EQ(got.degraded.size(), want);
+    EXPECT_EQ(hung.counter("guard.ppe_fallbacks") - fallbacks0, want);
   }
   EXPECT_EQ(hung.counter("guard.quarantined_spes"), 4u);
   hung.expect_steal_ledger_balances();
