@@ -168,136 +168,301 @@ CellEngine::CellEngine(sim::Machine& machine,
     slot.dim = config[i].dim;
     slot.name = config[i].name;
     slot.ref_extract = config[i].ref;
-    slot.out = cellport::AlignedBuffer<float>(padded_dim(config[i].dim));
-    setup_detection(slot, *config[i].set);
+    slot.set = config[i].set;
+    const auto& models = slot.set->models;
+    slot.descs =
+        cellport::AlignedBuffer<kernels::DetectModelDesc>(models.size());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      kernels::DetectModelDesc& d = slot.descs[m];
+      d.sv_ea = reinterpret_cast<std::uint64_t>(models[m].sv_data());
+      d.coef_ea = reinterpret_cast<std::uint64_t>(models[m].coef().data());
+      d.num_sv = models[m].num_sv();
+      d.sv_stride = models[m].sv_stride();
+      d.gamma = models[m].gamma();
+      d.rho = models[m].rho();
+      d.kernel_type = static_cast<std::int32_t>(models[m].kernel());
+    }
   }
-  if (scenario_ == Scenario::kSharded) setup_sharding();
+  init_work(work_, 0);
 }
 
-void CellEngine::setup_sharding() {
+// ---- the working set ----
+
+void CellEngine::init_work(Work& w, int max_models) {
+  const bool sharded = scenario_ == Scenario::kSharded;
   // Raw-partial bytes per shard: fixed for the counting kernels; TX is
-  // tile-count dependent and (re)sized per image in prepare_shards.
+  // tile-count dependent and (re)sized per image in prepare().
   const std::size_t part_bytes[4] = {
       kernels::kShardChWords * sizeof(std::uint32_t),
       kernels::kShardCcWords * sizeof(std::uint32_t),
       0,
       kernels::kShardEhWords * sizeof(std::uint32_t),
   };
-  for (int i = 0; i < 4; ++i) {
-    FeatureSlot& slot = slots_[i];
-    const auto n = static_cast<std::size_t>(plan_.extract_shards[i]);
-    slot.shard_msgs = std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
-    slot.shard_parts.resize(n);
-    if (part_bytes[i] > 0) {
-      for (auto& p : slot.shard_parts) {
-        p = cellport::AlignedBuffer<std::uint8_t>(part_bytes[i]);
+  const auto spu_run = static_cast<int>(kernels::SPU_Run);
+  w.detect.clear();
+  for (int s = 0; s < 4; ++s) {
+    FeatureSlot& slot = slots_[s];
+    Work::Slot& ws = w.slot[s];
+    const auto full = static_cast<int>(slot.set->models.size());
+    ws.models = max_models > 0 ? std::min(full, max_models) : full;
+    ws.out = cellport::AlignedBuffer<float>(padded_dim(slot.dim));
+    ws.scores = cellport::AlignedBuffer<double>(
+        cellport::round_up(static_cast<std::size_t>(full), 2));
+    // The detection message is static: it reads this working set's
+    // feature vector and writes its scores.
+    kernels::DetectMsg& dm = *ws.detect_msg;
+    dm.feature_ea = reinterpret_cast<std::uint64_t>(ws.out.data());
+    dm.dim = slot.dim;
+    dm.num_models = ws.models;
+    dm.models_ea = reinterpret_cast<std::uint64_t>(slot.descs.data());
+    dm.scores_ea = reinterpret_cast<std::uint64_t>(ws.scores.data());
+    dm.buffering = buffering_;
+    if (!sharded) {
+      w.detect.push_back({KernelCall::Kind::kDetect, s, 0, &slot.detect,
+                          spu_run, ws.detect_msg.ea()});
+      continue;
+    }
+    const auto n = static_cast<std::size_t>(plan_.extract_shards[s]);
+    ws.shard_msgs = std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
+    ws.shard_parts.resize(n);
+    if (part_bytes[s] > 0) {
+      for (auto& p : ws.shard_parts) {
+        p = cellport::AlignedBuffer<std::uint8_t>(part_bytes[s]);
       }
     }
-  }
-  // Detection staging: each block's kernel pads its score DMA to an even
-  // count, so blocks land in per-block buffers and the PPE concatenates
-  // the exact counts (writing into slot.scores directly would overlap at
-  // odd block boundaries).
-  std::size_t max_models = 0;
-  for (const auto& slot : slots_) {
-    max_models = std::max(max_models, slot.set->models.size());
-  }
-  const auto d = static_cast<std::size_t>(plan_.detect_spes);
-  cd_block_msgs_ = std::vector<port::WrappedMessage<kernels::DetectMsg>>(d);
-  cd_block_scores_.resize(d);
-  for (auto& s : cd_block_scores_) {
-    s = cellport::AlignedBuffer<double>(cellport::round_up(max_models, 2));
+    const auto d = static_cast<std::size_t>(plan_.detect_spes);
+    ws.blocks = shard::split_rows(ws.models, plan_.detect_spes);
+    ws.block_msgs = std::vector<port::WrappedMessage<kernels::DetectMsg>>(d);
+    ws.block_scores.resize(d);
+    for (std::size_t b = 0; b < d; ++b) {
+      ws.block_scores[b] = cellport::AlignedBuffer<double>(ws.scores.size());
+      kernels::DetectMsg& bm = *ws.block_msgs[b];
+      bm = dm;
+      bm.model_begin = ws.blocks[b].begin;
+      bm.num_models = ws.blocks[b].count();
+      bm.scores_ea =
+          reinterpret_cast<std::uint64_t>(ws.block_scores[b].data());
+      w.detect.push_back(
+          {KernelCall::Kind::kBlock, s, static_cast<int>(b),
+           &cd_block_lanes_[b], spu_run,
+           ws.blocks[b].empty() ? 0 : ws.block_msgs[b].ea()});
+    }
   }
 }
 
-void CellEngine::prepare_shards(const img::RgbImage& pixels) {
+void CellEngine::prepare(Work& w, bool charge_each) {
+  sim::ScalarContext& ppe = machine_.ppe();
+  const img::RgbImage& pixels = w.pixels;
   const int h = pixels.height();
+  w.degraded = std::move(feed_pending_degraded_);
+  feed_pending_degraded_.clear();
+  for (int s = 0; s < 4; ++s) {
+    // Listing 4's FILL_MSG_FROM_COLORIMAGE: wrap the class members into
+    // the aligned message structure.
+    ppe.charge(sim::OpClass::kStore, 12);
+    kernels::ImageMsg& msg = *w.slot[s].msg;
+    msg.pixels_ea = reinterpret_cast<std::uint64_t>(pixels.data());
+    msg.width = pixels.width();
+    msg.height = h;
+    msg.stride = pixels.stride();
+    msg.buffering = buffering_;
+    msg.out_ea = reinterpret_cast<std::uint64_t>(w.slot[s].out.data());
+    msg.out_count = slots_[s].dim;
+  }
+  w.extract.clear();
+  // A range message is a slot message plus its rows, writing a raw
+  // partial instead of the feature vector.
   std::uint64_t stores = 0;
-  for (int i = 0; i < 4; ++i) {
-    FeatureSlot& slot = slots_[i];
-    const int n = plan_.extract_shards[i];
-    slot.shard_rows = i == shard::kSlotTx ? shard::split_tiles(h, n)
-                                          : shard::split_rows(h, n);
-    for (int j = 0; j < n; ++j) {
-      const shard::Range& r = slot.shard_rows[static_cast<std::size_t>(j)];
-      if (r.empty()) continue;
-      if (i == shard::kSlotTx) {
-        const auto bytes = static_cast<std::size_t>(
-                               shard::tx_partial_doubles(r)) *
-                           sizeof(double);
-        auto& part = slot.shard_parts[static_cast<std::size_t>(j)];
-        if (part.bytes() < bytes) {
-          part = cellport::AlignedBuffer<std::uint8_t>(bytes);
-        }
-      }
-      kernels::ImageMsg& m = *slot.shard_msgs[static_cast<std::size_t>(j)];
-      m = *slot.msg;
-      m.row_begin = r.begin;
-      m.row_end = r.end;
-      m.out_ea = reinterpret_cast<std::uint64_t>(
-          slot.shard_parts[static_cast<std::size_t>(j)].data());
+  auto range_msg = [&](port::WrappedMessage<kernels::ImageMsg>& msg,
+                       const kernels::ImageMsg& base, const shard::Range& r,
+                       const void* out) {
+    if (charge_each) {
+      ppe.charge(sim::OpClass::kStore, 4);
+    } else {
       stores += 4;
     }
+    kernels::ImageMsg& m = *msg;
+    m = base;
+    m.row_begin = r.begin;
+    m.row_end = r.end;
+    m.out_ea = reinterpret_cast<std::uint64_t>(out);
+    return msg.ea();
+  };
+  if (fused_ || balanced_) {
+    // Same precondition as the TX kernel: every wavelet level must split
+    // (a fused lane always computes the texture alongside the
+    // row-granular features).
+    if (pixels.width() < (1 << features::kTextureLevels) ||
+        h < (1 << features::kTextureLevels)) {
+      throw cellport::ConfigError(
+          "image too small for the 4-level wavelet texture");
+    }
+    // A balanced engine splits the image into more, smaller task ranges
+    // than lanes; its tasks ride the steal loop, not the call list.
+    const auto lanes = static_cast<int>(fused_lanes_.size());
+    w.fused_rows = balanced_ ? balance::split_tasks(h, lanes)
+                             : shard::split_fused(h, lanes);
+    const std::size_t n = w.fused_rows.size();
+    if (w.fused_msgs.size() < n) {
+      w.fused_msgs = std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
+    }
+    if (w.fused_parts.size() < n) w.fused_parts.resize(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      const shard::Range& r = w.fused_rows[j];
+      std::uint64_t ea = 0;
+      if (!r.empty()) {
+        const std::size_t bytes =
+            kernels::fused_partial_bytes(pixels.width(), h, r.begin, r.end);
+        if (w.fused_parts[j].bytes() < bytes) {
+          w.fused_parts[j] = cellport::AlignedBuffer<std::uint8_t>(bytes);
+        }
+        ea = range_msg(w.fused_msgs[j], *w.slot[0].msg, r,
+                       w.fused_parts[j].data());
+      }
+      if (!balanced_) {
+        w.extract.push_back({KernelCall::Kind::kFused, 0,
+                             static_cast<int>(j), &fused_lanes_[j],
+                             static_cast<int>(kernels::SPU_Run_Fused), ea});
+      }
+    }
+  } else if (scenario_ == Scenario::kSharded) {
+    // The shard plan is fixed, the ranges follow this image's shape.
+    for (int s = 0; s < 4; ++s) {
+      Work::Slot& ws = w.slot[s];
+      const int n = plan_.extract_shards[s];
+      ws.shard_rows = s == shard::kSlotTx ? shard::split_tiles(h, n)
+                                          : shard::split_rows(h, n);
+      for (std::size_t j = 0; j < ws.shard_rows.size(); ++j) {
+        const shard::Range& r = ws.shard_rows[j];
+        std::uint64_t ea = 0;
+        if (!r.empty()) {
+          auto& part = ws.shard_parts[j];
+          if (s == shard::kSlotTx) {
+            const auto bytes = static_cast<std::size_t>(
+                                   shard::tx_partial_doubles(r)) *
+                               sizeof(double);
+            if (part.bytes() < bytes) {
+              part = cellport::AlignedBuffer<std::uint8_t>(bytes);
+            }
+          }
+          ea = range_msg(ws.shard_msgs[j], *ws.msg, r, part.data());
+        }
+        w.extract.push_back({KernelCall::Kind::kShard, s,
+                             static_cast<int>(j), &slots_[s].shards[j],
+                             static_cast<int>(kernels::SPU_Run), ea});
+      }
+    }
+  } else {
+    for (int s = 0; s < 4; ++s) {
+      w.extract.push_back({KernelCall::Kind::kExtract, s, 0,
+                           &slots_[s].extract, extract_opcode(s),
+                           w.slot[s].msg.ea()});
+    }
+    return;
   }
-  machine_.ppe().charge(sim::OpClass::kStore, stores);
+  if (!charge_each) ppe.charge(sim::OpClass::kStore, stores);
 }
 
-void CellEngine::setup_detection(FeatureSlot& slot,
-                                 const learn::ConceptModelSet& set) {
-  slot.set = &set;
-  slot.descs = cellport::AlignedBuffer<kernels::DetectModelDesc>(
-      set.models.size());
-  for (std::size_t m = 0; m < set.models.size(); ++m) {
-    const learn::SvmModel& model = set.models[m];
-    kernels::DetectModelDesc& d = slot.descs[m];
-    d.sv_ea = reinterpret_cast<std::uint64_t>(model.sv_data());
-    d.coef_ea = reinterpret_cast<std::uint64_t>(model.coef().data());
-    d.num_sv = model.num_sv();
-    d.sv_stride = model.sv_stride();
-    d.gamma = model.gamma();
-    d.rho = model.rho();
-    d.kernel_type = static_cast<std::int32_t>(model.kernel());
+std::span<const std::uint64_t> CellEngine::task_eas(const Work& w) {
+  task_eas_.assign(w.fused_rows.size(), 0);
+  for (std::size_t t = 0; t < w.fused_rows.size(); ++t) {
+    if (!w.fused_rows[t].empty()) task_eas_[t] = w.fused_msgs[t].ea();
   }
-  slot.scores = cellport::AlignedBuffer<double>(
-      cellport::round_up(set.models.size(), 2));
-  kernels::DetectMsg& msg = *slot.detect_msg;
-  msg.feature_ea = reinterpret_cast<std::uint64_t>(slot.out.data());
-  msg.dim = slot.dim;
-  msg.num_models = static_cast<std::int32_t>(set.models.size());
-  msg.models_ea = reinterpret_cast<std::uint64_t>(slot.descs.data());
-  msg.scores_ea = reinterpret_cast<std::uint64_t>(slot.scores.data());
-  msg.buffering = buffering_;
+  return task_eas_;
 }
 
-void CellEngine::fill_image_msg(FeatureSlot& slot,
-                                const img::RgbImage& pixels) {
-  // Listing 4's FILL_MSG_FROM_COLORIMAGE: wrap the class members into the
-  // aligned message structure.
-  machine_.ppe().charge(sim::OpClass::kStore, 12);
-  kernels::ImageMsg& msg = *slot.msg;
-  msg.pixels_ea = reinterpret_cast<std::uint64_t>(pixels.data());
-  msg.width = pixels.width();
-  msg.height = pixels.height();
-  msg.stride = pixels.stride();
-  msg.buffering = buffering_;
-  msg.out_ea = reinterpret_cast<std::uint64_t>(slot.out.data());
-  msg.out_count = slot.dim;
+void CellEngine::reduce(Work& w) {
+  // The cellshard reducers over gathered partials (count sections for
+  // CH/CC/EH, Haar-tile sums for TX), ranges in ascending row order.
+  // Empty ranges contribute nothing and were never dispatched.
+  const bool fused = fused_ || balanced_;
+  const int width = w.pixels.width();
+  const int height = w.pixels.height();
+  sim::ScalarContext* ppe = &machine_.ppe();
+  static constexpr std::size_t kFusedWords[4] = {
+      0, kernels::kFusedCcOffset, 0, kernels::kFusedEhOffset};
+  std::vector<const std::uint32_t*> counts;
+  std::vector<const double*> tiles;
+  std::vector<int> tile_doubles;
+  for (int i = 0; i < 4; ++i) {
+    const auto& rows = fused ? w.fused_rows : w.slot[i].shard_rows;
+    const auto& parts = fused ? w.fused_parts : w.slot[i].shard_parts;
+    counts.clear();
+    tiles.clear();
+    tile_doubles.clear();
+    for (std::size_t j = 0; j < rows.size(); ++j) {
+      const shard::Range& r = rows[j];
+      if (r.empty()) continue;
+      const std::uint8_t* part = parts[j].data();
+      if (i == shard::kSlotTx) {
+        tiles.push_back(reinterpret_cast<const double*>(
+            fused ? part + kernels::kFusedCountBytes : part));
+        tile_doubles.push_back(
+            fused ? kernels::fused_tx_doubles(width, height, r.begin, r.end)
+                  : shard::tx_partial_doubles(r));
+      } else {
+        counts.push_back(reinterpret_cast<const std::uint32_t*>(part) +
+                         (fused ? kFusedWords[i] : 0));
+      }
+    }
+    const auto n = static_cast<int>(counts.size());
+    float* out = w.slot[i].out.data();
+    switch (i) {
+      case shard::kSlotCh:
+        shard::reduce_ch(counts.data(), n, width, height, out, ppe);
+        break;
+      case shard::kSlotCc:
+        shard::reduce_cc(counts.data(), n, out, ppe);
+        break;
+      case shard::kSlotTx:
+        shard::reduce_tx(tiles.data(), tile_doubles.data(),
+                         static_cast<int>(tiles.size()), width, height, out,
+                         ppe);
+        break;
+      default:
+        shard::reduce_eh(counts.data(), n, width, height, out, ppe);
+        break;
+    }
+  }
+  (fused ? fuse_images_counter_ : shard_reduce_counter_)->add(1);
 }
 
-void CellEngine::collect(FeatureSlot& slot, features::FeatureVector& fv,
-                         DetectionScores& scores, const char* name) {
+void CellEngine::concat_blocks(Work& w, int s) {
+  Work::Slot& ws = w.slot[s];
+  std::vector<const double*> parts;
+  std::vector<int> counts;
+  for (std::size_t b = 0; b < ws.blocks.size(); ++b) {
+    if (ws.blocks[b].empty()) continue;
+    parts.push_back(ws.block_scores[b].data());
+    counts.push_back(ws.blocks[b].count());
+  }
+  shard::concat_scores(parts.data(), counts.data(),
+                       static_cast<int>(parts.size()), ws.scores.data(),
+                       &machine_.ppe());
+}
+
+AnalysisResult CellEngine::collect(Work& w) {
   // Copy results from the output buffers back into the class data
   // (Section 3.3, last step). Charged as the loads/stores it is.
-  machine_.ppe().charge(sim::OpClass::kLoad,
-                        static_cast<std::uint64_t>(slot.dim) +
-                            slot.scores.size());
-  machine_.ppe().charge(sim::OpClass::kStore,
-                        static_cast<std::uint64_t>(slot.dim) +
-                            slot.scores.size());
-  fv.name = name;
-  fv.values.assign(slot.out.data(), slot.out.data() + slot.dim);
-  scores.values.assign(slot.scores.data(),
-                       slot.scores.data() + slot.set->models.size());
+  sim::ScalarContext& ppe = machine_.ppe();
+  AnalysisResult result;
+  features::FeatureVector* fvs[4] = {&result.color_histogram,
+                                     &result.color_correlogram,
+                                     &result.texture, &result.edge_histogram};
+  DetectionScores* ds[4] = {&result.ch_detect, &result.cc_detect,
+                            &result.tx_detect, &result.eh_detect};
+  for (int s = 0; s < 4; ++s) {
+    const FeatureSlot& slot = slots_[s];
+    const Work::Slot& ws = w.slot[s];
+    const auto elems = static_cast<std::uint64_t>(slot.dim) + ws.scores.size();
+    ppe.charge(sim::OpClass::kLoad, elems);
+    ppe.charge(sim::OpClass::kStore, elems);
+    fvs[s]->name = slot.name;
+    fvs[s]->values.assign(ws.out.data(), ws.out.data() + slot.dim);
+    ds[s]->values.assign(ws.scores.data(), ws.scores.data() + ws.models);
+  }
+  result.degraded = std::move(w.degraded);
+  return result;
 }
 
 // ---- cellfeed: SPE-resident ingest of PPM carriers ----
@@ -518,15 +683,15 @@ AnalysisResult CellEngine::analyze(const img::SicEncoded& image) {
     }
     cache_fill = true;
   }
-  img::RgbImage pixels;
-  std::optional<StealLoop> loop = steal_loop(pixels);
-  pixels = decode(image, loop ? &*loop : nullptr);
+  std::optional<StealLoop> loop = steal_loop(work_);
+  work_.pixels =
+      decode(image, std::move(work_.pixels), loop ? &*loop : nullptr);
   AnalysisResult result;
   {
     InFlight f;
     f.loop = loop ? &*loop : nullptr;
-    dispatch(pixels, f);
-    result = complete(pixels, f);
+    dispatch(work_, f);
+    result = complete(work_, f);
   }
   if (loop) tally_steals(*loop);
   if (cache_fill && result.degraded.empty()) {
@@ -538,467 +703,107 @@ AnalysisResult CellEngine::analyze(const img::SicEncoded& image) {
 }
 
 img::RgbImage CellEngine::decode(const img::SicEncoded& image,
-                                 StealLoop* loop, std::size_t owner) {
+                                 img::RgbImage storage, StealLoop* loop,
+                                 std::size_t owner) {
   port::Profiler::Scope probe(profiler_, kPhasePreprocess);
-  return ingest(image, {}, {}, loop, owner);
+  return ingest(image, {}, std::move(storage), loop, owner);
 }
 
-std::optional<StealLoop> CellEngine::steal_loop(const img::RgbImage& pixels) {
+std::optional<StealLoop> CellEngine::steal_loop(Work& w) {
   if (!balanced_) return std::nullopt;
   return std::optional<StealLoop>(
       std::in_place, machine_.ppe(), prt(), fused_lanes_,
-      [this, &pixels](std::size_t, std::size_t t) {
-        fused_fallback_lane(t, pixels);
-      });
+      [this, &w](std::size_t, std::size_t t) { mirror_fused(w, t); });
 }
 
-void CellEngine::dispatch(const img::RgbImage& pixels, InFlight& f) {
+void CellEngine::dispatch(Work& w, InFlight& f) {
   sim::ScalarContext& ppe = machine_.ppe();
-  const bool per_feature = !fused_ && !balanced_;
   {
     probe::ProbeSpan span(prt(), probe::Phase::kPrepare, ppe, "fill_msgs");
-    for (auto& slot : slots_) fill_image_msg(slot, pixels);
-    if (!per_feature) {
-      prepare_fused(pixels);
-    } else if (scenario_ == Scenario::kSharded) {
-      prepare_shards(pixels);
-    }
+    prepare(w, /*charge_each=*/false);
   }
-  // Feed fallbacks for this image were staged when it was decoded (in a
-  // pipelined batch, while the previous image's kernels ran).
-  degraded_current_ = std::move(feed_pending_degraded_);
-  feed_pending_degraded_.clear();
-  if (per_feature && scenario_ == Scenario::kSingleSPE) return;
+  if (!fused_ && !balanced_ && scenario_ == Scenario::kSingleSPE) return;
 
   f.phase.emplace(profiler_, kPhaseExtractPar);
   if (f.loop != nullptr) {
     f.loop->push(f.owner, static_cast<int>(kernels::SPU_Run_Fused),
-                 fused_task_eas(fused_rows_, fused_msgs_));
-  } else if (fused_) {
-    probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe, "send_fused");
-    send_fused();
-  } else if (scenario_ == Scenario::kSharded) {
-    probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe, "send_shards");
-    send_shards();
-  } else {
-    probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe, "send_extract");
-    for (int i = 0; i < 4; ++i) {
-      f.extract_sent[i] = ppe.now_ns();
-      slots_[i].extract.send(extract_opcode(slots_[i]), slots_[i].msg.ea());
-    }
+                 task_eas(w));
+    return;
   }
+  probe::ProbeSpan d(prt(), probe::Phase::kDispatch, ppe,
+                     fused_                            ? "send_fused"
+                     : scenario_ == Scenario::kSharded ? "send_shards"
+                                                       : "send_extract");
+  for (KernelCall& c : w.extract) send(c);
 }
 
-AnalysisResult CellEngine::complete(const img::RgbImage& pixels,
-                                    InFlight& f) {
+AnalysisResult CellEngine::complete(Work& w, InFlight& f) {
   sim::ScalarContext& ppe = machine_.ppe();
   const bool per_feature = !fused_ && !balanced_;
   const bool sharded = scenario_ == Scenario::kSharded;
+  // kMultiSPE2 per-feature: each extraction is immediately followed by
+  // its own detection on a dedicated detection SPE, inside the
+  // extraction phase; every other schedule detects under its own.
+  const bool detect_in_extract =
+      per_feature && scenario_ == Scenario::kMultiSPE2;
   if (f.loop != nullptr) {
     f.loop->drain(f.owner);
-  } else if (fused_) {
-    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "fused_lanes");
-    wait_fused(pixels);
-  } else if (sharded) {
-    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe, "shards");
-    wait_shards(pixels);
-  } else if (scenario_ == Scenario::kSingleSPE) {
+  } else if (per_feature && scenario_ == Scenario::kSingleSPE) {
     // Scenario 1: each kernel runs alone, under its own profiler phase.
-    for (auto& slot : slots_) {
+    for (KernelCall& c : w.extract) {
+      const FeatureSlot& slot = slots_[c.slot];
       port::Profiler::Scope probe(profiler_, slot.phase);
       probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe, slot.name);
-      const sim::SimTime sent = ppe.now_ns();
-      slot.extract.send(extract_opcode(slot), slot.msg.ea());
-      finish_extract(slot, pixels);
-      rt_.add_spe_span(probe::Phase::kExtract, slot.name, sent,
-                       ppe.now_ns());
+      send(c);
+      finish(c, w, probe::Phase::kExtract);
     }
   } else {
-    probe::ProbeSpan w(prt(), probe::Phase::kExtract, ppe);
-    for (int i = 0; i < 4; ++i) {
-      finish_extract(slots_[i], pixels);
-      rt_.add_spe_span(probe::Phase::kExtract, slots_[i].name,
-                       f.extract_sent[i], ppe.now_ns());
-      // kMultiSPE2: each extraction is immediately followed by its own
-      // detection on a dedicated detection SPE.
-      if (scenario_ == Scenario::kMultiSPE2) send_detect(i, f);
+    probe::ProbeSpan span(prt(), probe::Phase::kExtract, ppe,
+                          fused_ ? "fused_lanes" : sharded ? "shards" : "");
+    for (std::size_t p = 0; p < w.extract.size(); ++p) {
+      finish(w.extract[p], w, probe::Phase::kExtract);
+      if (detect_in_extract) send(w.detect[p]);
     }
   }
 
-  // kMultiSPE2 per-feature detection already runs inside the extraction
-  // phase; every other schedule detects under its own.
-  const bool detect_in_extract =
-      per_feature && scenario_ == Scenario::kMultiSPE2;
   if (!detect_in_extract) f.phase.reset();
-  if (!per_feature) {
-    port::Profiler::Scope probe(profiler_, kPhaseShardReduce);
-    reduce_fused_slots();
-  } else if (sharded) {
+  if (!per_feature || sharded) {
     port::Profiler::Scope probe(profiler_, kPhaseShardReduce);
     probe::ProbeSpan span(prt(), probe::Phase::kReduce, ppe,
-                          "shard_reduce");
-    for (int i = 0; i < 4; ++i) reduce_slot(i);
-    shard_reduce_counter_->add(1);
+                          per_feature ? "shard_reduce" : "fuse_reduce");
+    reduce(w);
   }
   if (!detect_in_extract) {
     f.phase.emplace(profiler_, per_feature && scenario_ == Scenario::kSingleSPE
                                    ? kPhaseCd
                                    : kPhaseDetect);
   }
-  detect(f);
+  detect(w);
   f.phase.reset();
 
-  AnalysisResult result;
-  {
-    probe::ProbeSpan span(prt(), probe::Phase::kOutput, ppe, "collect");
-    collect(slots_[0], result.color_histogram, result.ch_detect,
-            "color_histogram");
-    collect(slots_[1], result.color_correlogram, result.cc_detect,
-            "color_correlogram");
-    collect(slots_[2], result.texture, result.tx_detect, "texture");
-    collect(slots_[3], result.edge_histogram, result.eh_detect,
-            "edge_histogram");
-  }
-  result.degraded = std::move(degraded_current_);
-  return result;
+  probe::ProbeSpan span(prt(), probe::Phase::kOutput, ppe, "collect");
+  return collect(w);
 }
 
-void CellEngine::finish_request() {
-  if (probe_ == nullptr || !rt_.active()) return;
-  rt_.finish(machine_.ppe().now_ns());
-  probe_->on_request(rt_);
-}
-
-int CellEngine::extract_opcode(const FeatureSlot& slot) const {
-  bool has_naive = slot.phase != kPhaseTx;
-  return static_cast<int>(use_naive_ && has_naive ? kernels::SPU_Run_Naive
-                                                  : kernels::SPU_Run);
-}
-
-// ---- cellshard: the kSharded per-image schedule ----
-//
-// All shards of all four kernels launch in parallel (the plan sizes the
-// counts so they finish together); the PPE then merges raw partials into
-// the exact unsharded outputs and fans each slot's detection out over
-// the detection block lanes. A guarded shard whose retries are exhausted
-// is recomputed on the PPE via the shard mirrors — the surviving shards'
-// SPE work is kept.
-
-void CellEngine::send_shards() {
-  shard_send_ns_ = machine_.ppe().now_ns();
-  for (auto& slot : slots_) {
-    for (std::size_t j = 0; j < slot.shard_msgs.size(); ++j) {
-      if (slot.shard_rows[j].empty()) continue;
-      slot.shards[j].send(static_cast<int>(kernels::SPU_Run),
-                          slot.shard_msgs[j].ea());
-    }
-  }
-}
-
-void CellEngine::wait_shards(const img::RgbImage& pixels) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  for (int i = 0; i < 4; ++i) {
-    FeatureSlot& slot = slots_[i];
-    for (std::size_t j = 0; j < slot.shard_msgs.size(); ++j) {
-      if (slot.shard_rows[j].empty()) continue;
-      const std::string label =
-          std::string(slot.name) + "[" + std::to_string(j) + "]";
-      slot.shards[j].finish(
-          ppe, prt(), [&] { return label; },
-          [&] { fallback_shard(i, static_cast<int>(j), pixels); }, lanes_);
-      rt_.add_spe_span(probe::Phase::kExtract, label, shard_send_ns_,
-                       ppe.now_ns());
-    }
-  }
-}
-
-void CellEngine::fallback_shard(int i, int j, const img::RgbImage& pixels) {
-  FeatureSlot& slot = slots_[i];
-  probe::ProbeSpan span(prt(), probe::Phase::kFallback, machine_.ppe(),
-                        std::string("shard:") + slot.name);
-  // Recompute just this shard's raw partial on the PPE; the reduction
-  // then proceeds as if the SPE had delivered it.
-  const shard::Range& range = slot.shard_rows[static_cast<std::size_t>(j)];
-  void* part = slot.shard_parts[static_cast<std::size_t>(j)].data();
-  switch (i) {
-    case shard::kSlotCh:
-      shard::ppe_partial_ch(pixels, range,
-                            static_cast<std::uint32_t*>(part),
-                            &machine_.ppe());
-      break;
-    case shard::kSlotCc:
-      shard::ppe_partial_cc(pixels, range,
-                            static_cast<std::uint32_t*>(part),
-                            &machine_.ppe());
-      break;
-    case shard::kSlotTx:
-      shard::ppe_partial_tx(pixels, range, static_cast<double*>(part),
-                            &machine_.ppe());
-      break;
-    default:
-      shard::ppe_partial_eh(pixels, range,
-                            static_cast<std::uint32_t*>(part),
-                            &machine_.ppe());
-      break;
-  }
-  note_degraded("shard", slot);
-}
-
-void CellEngine::reduce_slot(int i) {
-  FeatureSlot& slot = slots_[i];
-  reduce_shards(i, slot.shard_rows, slot.shard_parts, slot.msg->width,
-                slot.msg->height, slot.out.data(), &machine_.ppe());
-}
-
-void CellEngine::reduce_shards(
-    int i, const std::vector<shard::Range>& rows,
-    const std::vector<cellport::AlignedBuffer<std::uint8_t>>& parts, int w,
-    int h, float* out, sim::ScalarContext* ppe) {
-  // Empty shards (image smaller than the shard count) contribute nothing
-  // and were never dispatched; reduce over the rest.
-  std::vector<const std::uint32_t*> counts;
-  std::vector<const double*> tiles;
-  std::vector<int> tile_doubles;
-  for (std::size_t j = 0; j < parts.size(); ++j) {
-    if (rows[j].empty()) continue;
-    if (i == shard::kSlotTx) {
-      tiles.push_back(reinterpret_cast<const double*>(parts[j].data()));
-      tile_doubles.push_back(shard::tx_partial_doubles(rows[j]));
-    } else {
-      counts.push_back(
-          reinterpret_cast<const std::uint32_t*>(parts[j].data()));
-    }
-  }
-  reduce_partials(i, counts, tiles, tile_doubles, w, h, out, ppe);
-}
-
-void CellEngine::reduce_partials(
-    int i, const std::vector<const std::uint32_t*>& counts,
-    const std::vector<const double*>& tiles,
-    const std::vector<int>& tile_doubles, int w, int h, float* out,
-    sim::ScalarContext* ppe) {
-  const auto n = static_cast<int>(counts.size());
-  switch (i) {
-    case shard::kSlotCh:
-      shard::reduce_ch(counts.data(), n, w, h, out, ppe);
-      break;
-    case shard::kSlotCc:
-      shard::reduce_cc(counts.data(), n, out, ppe);
-      break;
-    case shard::kSlotTx:
-      shard::reduce_tx(tiles.data(), tile_doubles.data(),
-                       static_cast<int>(tiles.size()), w, h, out, ppe);
-      break;
-    default:
-      shard::reduce_eh(counts.data(), n, w, h, out, ppe);
-      break;
-  }
-}
-
-void CellEngine::sharded_detect(FeatureSlot& slot) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  const auto num_models = static_cast<int>(slot.set->models.size());
-  const int d = plan_.detect_spes;
-  std::vector<shard::Range> blocks = shard::split_rows(num_models, d);
-  ppe.charge(sim::OpClass::kStore, 6 * static_cast<std::uint64_t>(d));
-  const sim::SimTime blocks_sent = ppe.now_ns();
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    if (blocks[b].empty()) continue;
-    kernels::DetectMsg& m = *cd_block_msgs_[b];
-    m = *slot.detect_msg;
-    m.model_begin = blocks[b].begin;
-    m.num_models = blocks[b].count();
-    m.scores_ea = reinterpret_cast<std::uint64_t>(cd_block_scores_[b].data());
-    cd_block_lanes_[b].send(static_cast<int>(kernels::SPU_Run),
-                            cd_block_msgs_[b].ea());
-  }
-  std::vector<const double*> parts;
-  std::vector<int> counts;
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const shard::Range& block = blocks[b];
-    if (block.empty()) continue;
-    const std::string label =
-        "cd[" + std::to_string(b) + "]:" + std::string(slot.name);
-    cd_block_lanes_[b].finish(
-        ppe, prt(), [&] { return label; },
-        [&] {
-          probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe,
-                                std::string("detect:") + slot.name);
-          shard::ppe_detect_block(slot.out.data(), slot.dim, *slot.set,
-                                  block, cd_block_scores_[b].data(), &ppe);
-          note_degraded("detect", slot);
-        },
-        lanes_);
-    rt_.add_spe_span(probe::Phase::kDetect, label, blocks_sent,
-                     ppe.now_ns());
-    parts.push_back(cd_block_scores_[b].data());
-    counts.push_back(block.count());
-  }
-  shard::concat_scores(parts.data(), counts.data(),
-                       static_cast<int>(parts.size()), slot.scores.data(),
-                       &ppe);
-}
-
-// ---- cellfuse: the fused per-image schedule ----
-//
-// One single-pass kernel invocation per lane replaces the four
-// per-feature invocations: each lane streams its tile-aligned row range
-// once — one HSV quantization, one gray conversion — and emits all four
-// raw-partial layouts in one blob (kernels/messages.h). The PPE merges
-// the blobs' sections with the same cellshard reducers the sharded
-// scenario uses, so fused results are bit-exact with the per-feature
-// kernels; detection then runs the scenario's normal schedule.
-
-void CellEngine::prepare_fused(const img::RgbImage& pixels) {
-  const int h = pixels.height();
-  // Same precondition as the TX kernel: every wavelet level must split
-  // (a fused lane always computes the texture alongside the row-granular
-  // features).
-  if (pixels.width() < (1 << features::kTextureLevels) ||
-      h < (1 << features::kTextureLevels)) {
-    throw cellport::ConfigError(
-        "image too small for the 4-level wavelet texture");
-  }
-  // A balanced engine splits the image into more, smaller task ranges
-  // than lanes; the fused_* members then hold one entry per task.
-  const auto lanes = static_cast<int>(fused_lanes_.size());
-  fused_rows_ = balanced_ ? balance::split_tasks(h, lanes)
-                          : shard::split_fused(h, lanes);
-  const std::size_t n = fused_rows_.size();
-  if (fused_msgs_.size() < n) {
-    fused_msgs_ =
-        std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
-  }
-  if (fused_parts_.size() < n) fused_parts_.resize(n);
-  std::uint64_t stores = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const shard::Range& r = fused_rows_[j];
-    if (r.empty()) continue;
-    const std::size_t bytes =
-        kernels::fused_partial_bytes(pixels.width(), h, r.begin, r.end);
-    if (fused_parts_[j].bytes() < bytes) {
-      fused_parts_[j] = cellport::AlignedBuffer<std::uint8_t>(bytes);
-    }
-    kernels::ImageMsg& m = *fused_msgs_[j];
-    m = *slots_[0].msg;
-    m.row_begin = r.begin;
-    m.row_end = r.end;
-    m.out_ea = reinterpret_cast<std::uint64_t>(fused_parts_[j].data());
-    stores += 4;
-  }
-  machine_.ppe().charge(sim::OpClass::kStore, stores);
-}
-
-std::span<const std::uint64_t> CellEngine::fused_task_eas(
-    const std::vector<shard::Range>& rows,
-    const std::vector<port::WrappedMessage<kernels::ImageMsg>>& msgs) {
-  task_eas_.assign(rows.size(), 0);
-  for (std::size_t t = 0; t < rows.size(); ++t) {
-    if (!rows[t].empty()) task_eas_[t] = msgs[t].ea();
-  }
-  return task_eas_;
-}
-
-void CellEngine::send_fused() {
-  fused_send_ns_ = machine_.ppe().now_ns();
-  for (std::size_t j = 0; j < fused_lanes_.size(); ++j) {
-    if (fused_rows_[j].empty()) continue;
-    fused_lanes_[j].send(static_cast<int>(kernels::SPU_Run_Fused),
-                         fused_msgs_[j].ea());
-  }
-}
-
-void CellEngine::wait_fused(const img::RgbImage& pixels) {
-  sim::ScalarContext& ppe = machine_.ppe();
-  for (std::size_t j = 0; j < fused_lanes_.size(); ++j) {
-    if (fused_rows_[j].empty()) continue;
-    const std::string label = "fused[" + std::to_string(j) + "]";
-    fused_lanes_[j].finish(
-        ppe, prt(), [&] { return label; },
-        [&] { fused_fallback_lane(j, pixels); }, lanes_);
-    rt_.add_spe_span(probe::Phase::kExtract, label, fused_send_ns_,
-                     ppe.now_ns());
-  }
-}
-
-void CellEngine::fused_fallback_lane(std::size_t j,
-                                     const img::RgbImage& pixels) {
-  probe::ProbeSpan span(prt(), probe::Phase::kFallback, machine_.ppe(),
-                        "fuse[" + std::to_string(j) + "]");
-  mirror_fused_range(pixels, fused_rows_[j], fused_parts_[j].data(),
-                     &machine_.ppe());
-  for (auto& slot : slots_) note_degraded("fuse", slot);
-}
-
-void CellEngine::mirror_fused_range(const img::RgbImage& pixels,
-                                    const shard::Range& range,
-                                    std::uint8_t* blob,
-                                    sim::ScalarContext* ppe) {
-  // The reduction can't tell these sections from SPE-delivered bytes.
-  auto* words = reinterpret_cast<std::uint32_t*>(blob);
-  shard::ppe_partial_ch(pixels, range, words, ppe);
-  shard::ppe_partial_cc(pixels, range, words + kernels::kFusedCcOffset,
-                        ppe);
-  shard::ppe_partial_eh(pixels, range, words + kernels::kFusedEhOffset,
-                        ppe);
-  const int heff = 2 * (pixels.height() / 2);
-  const shard::Range tx_rows{range.begin, std::min(range.end, heff)};
-  if (!tx_rows.empty()) {
-    shard::ppe_partial_tx(
-        pixels, tx_rows,
-        reinterpret_cast<double*>(blob + kernels::kFusedCountBytes), ppe);
-  }
-}
-
-void CellEngine::reduce_fused(
-    int i, const std::vector<shard::Range>& rows,
-    const std::vector<cellport::AlignedBuffer<std::uint8_t>>& parts, int w,
-    int h, float* out, sim::ScalarContext* ppe) {
-  std::vector<const std::uint32_t*> counts;
-  std::vector<const double*> tiles;
-  std::vector<int> tile_doubles;
-  for (std::size_t j = 0; j < rows.size(); ++j) {
-    const shard::Range& r = rows[j];
-    if (r.empty()) continue;
-    const auto* words =
-        reinterpret_cast<const std::uint32_t*>(parts[j].data());
-    switch (i) {
-      case shard::kSlotCh:
-        counts.push_back(words);
-        break;
-      case shard::kSlotCc:
-        counts.push_back(words + kernels::kFusedCcOffset);
-        break;
-      case shard::kSlotTx:
-        tiles.push_back(reinterpret_cast<const double*>(
-            parts[j].data() + kernels::kFusedCountBytes));
-        tile_doubles.push_back(
-            kernels::fused_tx_doubles(w, h, r.begin, r.end));
-        break;
-      default:
-        counts.push_back(words + kernels::kFusedEhOffset);
-        break;
-    }
-  }
-  reduce_partials(i, counts, tiles, tile_doubles, w, h, out, ppe);
-}
-
-void CellEngine::reduce_fused_slots() {
-  probe::ProbeSpan span(prt(), probe::Phase::kReduce, machine_.ppe(),
-                        "fuse_reduce");
-  for (int i = 0; i < 4; ++i) {
-    reduce_fused(i, fused_rows_, fused_parts_, slots_[0].msg->width,
-                 slots_[0].msg->height, slots_[i].out.data(),
-                 &machine_.ppe());
-  }
-  fuse_images_counter_->add(1);
-}
-
-void CellEngine::detect(InFlight& f) {
+void CellEngine::detect(Work& w) {
   sim::ScalarContext& ppe = machine_.ppe();
   if (scenario_ == Scenario::kSharded) {
+    // cellshard: each slot's models fan out over the detection block
+    // lanes, then the PPE concatenates the exact counts.
     probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe, "blocks");
-    for (auto& slot : slots_) sharded_detect(slot);
+    for (int s = 0; s < 4; ++s) {
+      // The block messages' fill, charged per slot and image here (the
+      // working set holds them ready from init_work()).
+      ppe.charge(sim::OpClass::kStore,
+                 6 * static_cast<std::uint64_t>(plan_.detect_spes));
+      for (KernelCall& c : w.detect) {
+        if (c.slot == s) send(c);
+      }
+      for (KernelCall& c : w.detect) {
+        if (c.slot == s) finish(c, w, probe::Phase::kDetect);
+      }
+      concat_blocks(w, s);
+    }
     return;
   }
   probe::ProbeSpan span(prt(), probe::Phase::kDetect, ppe);
@@ -1007,30 +812,192 @@ void CellEngine::detect(InFlight& f) {
   // slots share one detection SPE, one slot at a time.
   const bool own_spe = scenario_ == Scenario::kMultiSPE2;
   if (own_spe && (fused_ || balanced_)) {
-    for (int i = 0; i < 4; ++i) send_detect(i, f);
+    for (KernelCall& c : w.detect) send(c);
   }
-  for (int i = 0; i < 4; ++i) {
-    if (!own_spe) send_detect(i, f);
-    finish_detect(slots_[i]);
-    rt_.add_spe_span(probe::Phase::kDetect,
-                     std::string("cd:") + slots_[i].name, f.detect_sent[i],
-                     ppe.now_ns());
+  for (KernelCall& c : w.detect) {
+    if (!own_spe) send(c);
+    finish(c, w, probe::Phase::kDetect);
   }
 }
 
-void CellEngine::send_detect(int i, InFlight& f) {
-  f.detect_sent[i] = machine_.ppe().now_ns();
-  slots_[i].detect.send(static_cast<int>(kernels::SPU_Run),
-                        slots_[i].detect_msg.ea());
+void CellEngine::finish_request() {
+  if (probe_ == nullptr || !rt_.active()) return;
+  rt_.finish(machine_.ppe().now_ns());
+  probe_->on_request(rt_);
+}
+
+int CellEngine::extract_opcode(int s) const {
+  const bool has_naive = s != shard::kSlotTx;
+  return static_cast<int>(use_naive_ && has_naive ? kernels::SPU_Run_Naive
+                                                  : kernels::SPU_Run);
+}
+
+// ---- kernel calls ----
+//
+// Every strategy's calls are one list per image (Work::extract,
+// Work::detect), driven over one of two transports: the mailbox
+// (send(), then finish(): analyze() and pipelined batches) or a command
+// ring (StreamEngine: enqueue + one doorbell per lane, then a batch
+// wait, with rerun() for each call the ring lost). Either way a call the
+// guard gives up on is recomputed by mirror() from the same working set.
+
+void CellEngine::send(KernelCall& c) {
+  if (c.ea == 0) return;
+  c.sent = machine_.ppe().now_ns();
+  c.lane->send(c.op, c.ea);
+}
+
+void CellEngine::finish(KernelCall& c, Work& w, probe::Phase phase) {
+  if (c.ea == 0) return;
+  sim::ScalarContext& ppe = machine_.ppe();
+  c.lane->finish(
+      ppe, prt(), [&] { return label(c); }, [&] { mirror(c, w); }, lanes_);
+  if (prt() != nullptr) {
+    rt_.add_spe_span(phase, label(c), c.sent, ppe.now_ns());
+  }
+}
+
+void CellEngine::rerun(const KernelCall& c, Work& w) {
+  c.lane->call(
+      machine_.ppe(), prt(), c.op, c.ea, [&] { return label(c); },
+      [&] { mirror(c, w); });
+}
+
+std::string CellEngine::label(const KernelCall& c) const {
+  const std::string name = slots_[c.slot].name;
+  const std::string index = "[" + std::to_string(c.index) + "]";
+  switch (c.kind) {
+    case KernelCall::Kind::kExtract:
+      return name;
+    case KernelCall::Kind::kShard:
+      return name + index;
+    case KernelCall::Kind::kFused:
+      return "fused" + index;
+    case KernelCall::Kind::kDetect:
+      return "cd:" + name;
+    default:
+      return "cd" + index + ":" + name;
+  }
+}
+
+void CellEngine::mirror(const KernelCall& c, Work& w) {
+  if (c.kind == KernelCall::Kind::kFused) {
+    mirror_fused(w, static_cast<std::size_t>(c.index));
+    return;
+  }
+  sim::ScalarContext& ppe = machine_.ppe();
+  const FeatureSlot& slot = slots_[c.slot];
+  Work::Slot& ws = w.slot[c.slot];
+  const auto j = static_cast<std::size_t>(c.index);
+  const char* stage = c.kind == KernelCall::Kind::kExtract ? "extract"
+                      : c.kind == KernelCall::Kind::kShard ? "shard"
+                                                           : "detect";
+  probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe,
+                        std::string(stage) + ":" + slot.name);
+  switch (c.kind) {
+    case KernelCall::Kind::kExtract: {
+      // The PPE scalar path, landed in the slot's output buffer where
+      // detection and collect() expect it.
+      features::FeatureVector fv = slot.ref_extract(w.pixels, &ppe);
+      ppe.charge(sim::OpClass::kStore, static_cast<std::uint64_t>(slot.dim));
+      std::memcpy(ws.out.data(), fv.values.data(),
+                  static_cast<std::size_t>(slot.dim) * sizeof(float));
+      break;
+    }
+    case KernelCall::Kind::kShard: {
+      // Just this shard's raw partial; the reduction then proceeds as if
+      // the SPE had delivered it.
+      const shard::Range& range = ws.shard_rows[j];
+      void* part = ws.shard_parts[j].data();
+      switch (c.slot) {
+        case shard::kSlotCh:
+          shard::ppe_partial_ch(w.pixels, range,
+                                static_cast<std::uint32_t*>(part), &ppe);
+          break;
+        case shard::kSlotCc:
+          shard::ppe_partial_cc(w.pixels, range,
+                                static_cast<std::uint32_t*>(part), &ppe);
+          break;
+        case shard::kSlotTx:
+          shard::ppe_partial_tx(w.pixels, range, static_cast<double*>(part),
+                                &ppe);
+          break;
+        default:
+          shard::ppe_partial_eh(w.pixels, range,
+                                static_cast<std::uint32_t*>(part), &ppe);
+          break;
+      }
+      break;
+    }
+    case KernelCall::Kind::kDetect: {
+      // Score against the full model set on the PPE, reading whatever
+      // feature values are in the buffer (SPE-extracted or themselves a
+      // fallback); under a serve concept clamp only the scored prefix
+      // lands (the PPE has no short-batch kernel to lean on).
+      features::FeatureVector fv;
+      fv.name = slot.name;
+      fv.values.assign(ws.out.data(), ws.out.data() + slot.dim);
+      DetectionScores scores = reference_detect(fv, *slot.set, &ppe);
+      ppe.charge(sim::OpClass::kStore,
+                 static_cast<std::uint64_t>(scores.values.size()));
+      std::memcpy(ws.scores.data(), scores.values.data(),
+                  std::min(scores.values.size(),
+                           static_cast<std::size_t>(ws.models)) *
+                      sizeof(double));
+      break;
+    }
+    default:
+      shard::ppe_detect_block(ws.out.data(), slot.dim, *slot.set,
+                              ws.blocks[j], ws.block_scores[j].data(), &ppe);
+      break;
+  }
+  note_degraded(w, stage, c.slot);
+}
+
+void CellEngine::mirror_fused(Work& w, std::size_t j) {
+  // The reduction can't tell these sections from SPE-delivered bytes
+  // (the mirrors zero their sections first).
+  sim::ScalarContext& ppe = machine_.ppe();
+  probe::ProbeSpan span(prt(), probe::Phase::kFallback, ppe,
+                        "fuse[" + std::to_string(j) + "]");
+  const shard::Range& range = w.fused_rows[j];
+  std::uint8_t* blob = w.fused_parts[j].data();
+  auto* words = reinterpret_cast<std::uint32_t*>(blob);
+  shard::ppe_partial_ch(w.pixels, range, words, &ppe);
+  shard::ppe_partial_cc(w.pixels, range, words + kernels::kFusedCcOffset,
+                        &ppe);
+  shard::ppe_partial_eh(w.pixels, range, words + kernels::kFusedEhOffset,
+                        &ppe);
+  const int heff = 2 * (w.pixels.height() / 2);
+  const shard::Range tx_rows{range.begin, std::min(range.end, heff)};
+  if (!tx_rows.empty()) {
+    shard::ppe_partial_tx(
+        w.pixels, tx_rows,
+        reinterpret_cast<double*>(blob + kernels::kFusedCountBytes), &ppe);
+  }
+  for (int s = 0; s < 4; ++s) note_degraded(w, "fuse", s);
+}
+
+void CellEngine::note_degraded(Work& w, const char* stage, int s) {
+  w.degraded.push_back(std::string(stage) + ":" + slots_[s].name);
+  fallback_counter_->add(1);
+  sim::ScalarContext& ppe = machine_.ppe();
+  if (ppe.trace_on()) {
+    ppe.trace_track()->instant(trace::Category::kRuntime,
+                               "ppe_fallback:" + w.degraded.back(),
+                               ppe.now_ns(), "count",
+                               fallback_counter_->value());
+  }
 }
 
 // ---- cellbalance: steal-driven fused dispatch + the content cache ----
 //
 // The balanced schedule is the fused schedule with MORE, smaller tasks
-// than lanes: the fused_* members hold one entry per TASK instead of one
-// per lane, so the reducers and the PPE mirror work verbatim — reduction
-// still walks fused_rows_ in ascending row order, which is exactly the
-// order a static plan reduces, keeping stolen-work results bit-identical.
+// than lanes: a working set's fused_* members hold one entry per TASK
+// instead of one per lane, so the reducers and the PPE mirror work
+// verbatim — reduction still walks fused_rows in ascending row order,
+// which is exactly the order a static plan reduces, keeping stolen-work
+// results bit-identical.
 
 void CellEngine::set_balanced(bool on) {
   balanced_ = on;
@@ -1141,63 +1108,6 @@ void CellEngine::cache_store(std::uint64_t key,
   m.gauge("cache.entries").set(static_cast<double>(cache_->entries()));
 }
 
-void CellEngine::finish_extract(FeatureSlot& slot,
-                                const img::RgbImage& pixels) {
-  slot.extract.finish(
-      machine_.ppe(), prt(), [&] { return std::string(slot.name); },
-      [&] { fallback_extract(slot, pixels); }, lanes_);
-}
-
-void CellEngine::fallback_extract(FeatureSlot& slot,
-                                  const img::RgbImage& pixels) {
-  // Recompute on the PPE scalar path and land the values in the slot's
-  // output buffer, where the (possibly still SPE-hosted) detection and
-  // collect() expect them.
-  probe::ProbeSpan span(prt(), probe::Phase::kFallback, machine_.ppe(),
-                        std::string("extract:") + slot.name);
-  features::FeatureVector fv = slot.ref_extract(pixels, &machine_.ppe());
-  machine_.ppe().charge(sim::OpClass::kStore,
-                        static_cast<std::uint64_t>(slot.dim));
-  std::memcpy(slot.out.data(), fv.values.data(),
-              static_cast<std::size_t>(slot.dim) * sizeof(float));
-  note_degraded("extract", slot);
-}
-
-void CellEngine::finish_detect(FeatureSlot& slot) {
-  slot.detect.finish(
-      machine_.ppe(), prt(), [&] { return std::string("cd:") + slot.name; },
-      [&] { fallback_detect(slot); }, lanes_);
-}
-
-void CellEngine::fallback_detect(FeatureSlot& slot) {
-  // Score against the models on the PPE, reading whatever feature values
-  // are in the slot buffer (SPE-extracted or themselves a fallback).
-  probe::ProbeSpan span(prt(), probe::Phase::kFallback, machine_.ppe(),
-                        std::string("detect:") + slot.name);
-  features::FeatureVector fv;
-  fv.name = slot.name;
-  fv.values.assign(slot.out.data(), slot.out.data() + slot.dim);
-  DetectionScores scores =
-      reference_detect(fv, *slot.set, &machine_.ppe());
-  machine_.ppe().charge(sim::OpClass::kStore,
-                        static_cast<std::uint64_t>(scores.values.size()));
-  std::memcpy(slot.scores.data(), scores.values.data(),
-              scores.values.size() * sizeof(double));
-  note_degraded("detect", slot);
-}
-
-void CellEngine::note_degraded(const char* stage, const FeatureSlot& slot) {
-  degraded_current_.push_back(std::string(stage) + ":" + slot.name);
-  fallback_counter_->add(1);
-  sim::ScalarContext& ppe = machine_.ppe();
-  if (ppe.trace_on()) {
-    ppe.trace_track()->instant(trace::Category::kRuntime,
-                               "ppe_fallback:" + degraded_current_.back(),
-                               ppe.now_ns(), "count",
-                               fallback_counter_->value());
-  }
-}
-
 void CellEngine::note_image_done() {
   images_counter_->add(1);
   sim::ScalarContext& ppe = machine_.ppe();
@@ -1262,41 +1172,41 @@ std::vector<AnalysisResult> CellEngine::pipelined_cold(
 
   port::Profiler::Scope probe(profiler_, kPhasePipelined);
   sim::ScalarContext& ppe = machine_.ppe();
-  // Two pixel buffers alternate: the SPEs read `current` while the PPE
-  // decodes into the other slot. Probing treats each loop iteration as
-  // one request; the overlapped decode of image i+1 lands in request
-  // i's kDecode phase — that is where the PPE's time really went.
+  // The SPEs read the working set's pixels while the PPE decodes the
+  // next image into a second buffer; the two buffers swap roles. Probing
+  // treats each loop iteration as one request; the overlapped decode of
+  // image i+1 lands in request i's kDecode phase — that is where the
+  // PPE's time really went.
   if (probe_ != nullptr) rt_.start("pipelined", ppe.now_ns());
   // Balanced: image i is owner i of one steal loop (its decode tasks,
   // then its fused tasks).
-  img::RgbImage current;
-  std::optional<StealLoop> loop = steal_loop(current);
+  std::optional<StealLoop> loop = steal_loop(work_);
   StealLoop* const lp = loop ? &*loop : nullptr;
-  current = decode(*images[0], lp, 0);
+  work_.pixels = decode(*images[0], std::move(work_.pixels), lp, 0);
+  img::RgbImage next;
   for (std::size_t i = 0; i < images.size(); ++i) {
     if (probe_ != nullptr && !rt_.active()) {
       rt_.start("pipelined", ppe.now_ns());
     }
     InFlight f;
-    f.loop = loop ? &*loop : nullptr;
+    f.loop = lp;
     f.owner = i;
-    dispatch(current, f);
+    dispatch(work_, f);
     // PPE work overlaps the SPE kernels: decode the next image now. A
     // malformed carrier aborts the batch; collect image i's calls first,
     // so no kernel reads a freed image and the next call can Send.
-    img::RgbImage next;
     if (i + 1 < images.size()) {
       try {
-        next = decode(*images[i + 1], lp, i + 1);
+        next = decode(*images[i + 1], std::move(next), lp, i + 1);
       } catch (...) {
         for (const Lane& lane : lanes_) lane.abandon();
         throw;
       }
     }
-    results.push_back(complete(current, f));
+    results.push_back(complete(work_, f));
     note_image_done();
     finish_request();
-    if (i + 1 < images.size()) current = std::move(next);
+    if (i + 1 < images.size()) std::swap(work_.pixels, next);
   }
   if (loop) tally_steals(*loop);
   return results;

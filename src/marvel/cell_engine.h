@@ -19,11 +19,21 @@
 //                 reduces raw partials into bit-exact results. Optimizes
 //                 per-image latency where kMultiSPE optimizes occupancy.
 //
-// analyze() and pipelined batches run one per-image schedule, written
-// once over Lanes (marvel/lane.h): dispatch() sends the image's
-// extraction, complete() finishes it, reduces and detects. A guarded
-// engine opens the same placement behind GuardedInterfaces; the lanes'
-// completion policy is the only difference.
+// Every entry path shares one per-image working set (Work: messages,
+// outputs, partials, score staging) and one list of kernel calls per
+// image, {lane, opcode, message, label, mirror}, built once per strategy
+// by prepare(). Preparing, PPE mirrors, reduction and collect exist once,
+// here. Two transports drive the lists over Lanes (marvel/lane.h):
+//
+//   - mailbox: analyze() and pipelined batches, on the engine's own
+//     working set. dispatch() sends the extraction; complete() finishes
+//     it, reduces and detects.
+//   - command ring: StreamEngine, one working set per request in flight;
+//     per lane, the window's calls go behind one doorbell, and a call the
+//     ring lost re-runs alone through the lane's guard (rerun()).
+//
+// A guarded engine opens the same placement behind GuardedInterfaces;
+// the lanes' completion policy is the only difference.
 #pragma once
 
 #include <functional>
@@ -256,27 +266,79 @@ class CellEngine {
     /// The slot's concept detection: its own SPE in kMultiSPE2, the
     /// shared detection SPE in kSingleSPE/kMultiSPE.
     Lane detect;
+    /// cellshard (kSharded only): one lane per shard of this kernel.
+    std::vector<Lane> shards;
     const char* phase = nullptr;
-    cellport::port::WrappedMessage<kernels::ImageMsg> msg;
-    cellport::AlignedBuffer<float> out;
-    int dim = 0;
-    // Detection side.
-    const learn::ConceptModelSet* set = nullptr;
-    cellport::port::WrappedMessage<kernels::DetectMsg> detect_msg;
-    cellport::AlignedBuffer<kernels::DetectModelDesc> descs;
-    cellport::AlignedBuffer<double> scores;
-    // PPE mirrors (guarded fallbacks).
     const char* name = nullptr;
+    int dim = 0;
+    const learn::ConceptModelSet* set = nullptr;
+    /// The model descriptors every detection message reads (shared,
+    /// read-only, by every working set).
+    cellport::AlignedBuffer<kernels::DetectModelDesc> descs;
+    /// PPE mirror of the extraction kernel (guarded fallbacks).
     features::FeatureVector (*ref_extract)(const img::RgbImage&,
                                            sim::ScalarContext*) = nullptr;
-    // cellshard (kSharded only): one lane + message + raw-partial buffer
-    // per shard of this kernel; `shard_rows` holds the current image's
-    // ranges (recomputed per image — shapes may vary).
-    std::vector<Lane> shards;
-    std::vector<cellport::port::WrappedMessage<kernels::ImageMsg>>
-        shard_msgs;
-    std::vector<cellport::AlignedBuffer<std::uint8_t>> shard_parts;
-    std::vector<shard::Range> shard_rows;
+  };
+
+  /// One kernel call of an image's schedule. `label` and `mirror` derive
+  /// from {kind, slot, index}: the retry/probe label and the PPE
+  /// recompute that replaces the call's output when the guard gives up.
+  struct KernelCall {
+    enum class Kind : std::uint8_t {
+      kExtract,  // per-feature extraction of slot `slot`
+      kShard,    // shard `index` of slot `slot` (kSharded)
+      kFused,    // fused lane `index` (cellfuse)
+      kDetect,   // detection of slot `slot`
+      kBlock,    // model block `index` of slot `slot` (kSharded)
+    };
+    Kind kind = Kind::kExtract;
+    int slot = 0;  // 0 for a fused lane
+    int index = 0;
+    const Lane* lane = nullptr;
+    int op = 0;
+    /// The message; 0 when the call's range is empty (nothing is sent).
+    /// Such a call keeps its place, so list position p rides the same
+    /// lane for every image of an engine.
+    std::uint64_t ea = 0;
+    sim::SimTime sent = 0;  // mailbox send time (probe spans)
+  };
+
+  /// One image's working set: its pixels, every message and buffer its
+  /// kernels read or write, and the calls its schedule makes. analyze()
+  /// and pipelined batches run on the engine's own (work_); a stream
+  /// holds one per request in flight, so in-flight images never share a
+  /// buffer. init_work() sizes it once, prepare() fills it per image.
+  struct Work {
+    img::RgbImage pixels;
+    std::vector<std::string> degraded;
+    struct Slot {
+      port::WrappedMessage<kernels::ImageMsg> msg;
+      cellport::AlignedBuffer<float> out;
+      port::WrappedMessage<kernels::DetectMsg> detect_msg;
+      cellport::AlignedBuffer<double> scores;
+      /// Models scored (the serve concept clamp; the full set when 0).
+      int models = 0;
+      // cellshard (kSharded only): shard messages and raw partials for
+      // this image's `shard_rows`, and the detection model blocks with
+      // their static messages and score staging (a block's kernel pads
+      // its score DMA to an even count, so blocks land apart and the PPE
+      // concatenates the exact counts).
+      std::vector<port::WrappedMessage<kernels::ImageMsg>> shard_msgs;
+      std::vector<cellport::AlignedBuffer<std::uint8_t>> shard_parts;
+      std::vector<shard::Range> shard_rows;
+      std::vector<shard::Range> blocks;
+      std::vector<port::WrappedMessage<kernels::DetectMsg>> block_msgs;
+      std::vector<cellport::AlignedBuffer<double>> block_scores;
+    } slot[4];
+    // cellfuse/cellbalance: one message + partial blob per lane (per
+    // task on a balanced engine) for this image's `fused_rows`.
+    std::vector<port::WrappedMessage<kernels::ImageMsg>> fused_msgs;
+    std::vector<cellport::AlignedBuffer<std::uint8_t>> fused_parts;
+    std::vector<shard::Range> fused_rows;
+    /// The image's extraction calls (none on a balanced engine: its
+    /// tasks ride the steal loop) and detection calls, slot-major.
+    std::vector<KernelCall> extract;
+    std::vector<KernelCall> detect;
   };
 
   /// One image between dispatch() and complete(). Lives in the caller's
@@ -289,41 +351,81 @@ class CellEngine {
     /// Extract(parallel), open from the send until extraction retires
     /// (kMultiSPE2 per-feature: until its detection retires).
     std::optional<port::Profiler::Scope> phase;
-    sim::SimTime extract_sent[4] = {0, 0, 0, 0};
-    sim::SimTime detect_sent[4] = {0, 0, 0, 0};
   };
 
   // ---- the per-image schedule (every entry path) ----
-  /// PPE decode (or SPE feed) of one carrier under the Preprocess phase;
-  /// with `loop` (a balanced engine), a SIC carrier's block rows decode
-  /// as owner `owner`'s tasks on it.
-  img::RgbImage decode(const img::SicEncoded& image,
+  /// PPE decode (or SPE feed) of one carrier under the Preprocess phase,
+  /// into `storage`'s pixel buffer when it is large enough; with `loop`
+  /// (a balanced engine), a SIC carrier's block rows decode as owner
+  /// `owner`'s tasks on it.
+  img::RgbImage decode(const img::SicEncoded& image, img::RgbImage storage,
                        StealLoop* loop = nullptr, std::size_t owner = 0);
-  /// Fills the image's messages and sends its extraction: per-feature
-  /// kernels, shards, fused lanes, or balanced tasks pushed on
-  /// `f.loop`. kSingleSPE per-feature sends nothing here (each kernel
-  /// starts after the previous one retires, in complete()).
-  void dispatch(const img::RgbImage& pixels, InFlight& f);
+  /// Fills `w` for its pixels and sends the extraction over the mailbox:
+  /// the extract calls, or balanced tasks pushed on `f.loop`. kSingleSPE
+  /// per-feature sends nothing here (each kernel starts after the
+  /// previous one retires, in complete()).
+  void dispatch(Work& w, InFlight& f);
   /// Finishes the extraction dispatch() sent (guarded lanes retry or
   /// fall back to the PPE mirrors), reduces partials, runs detection,
   /// and copies the results out.
-  AnalysisResult complete(const img::RgbImage& pixels, InFlight& f);
-  /// The scenario's detection schedule (kSharded: model blocks;
-  /// kMultiSPE2: one SPE per slot; otherwise the shared CD SPE, one
-  /// slot at a time). kMultiSPE2 per-feature sends each detection as
+  AnalysisResult complete(Work& w, InFlight& f);
+  /// The detection calls over the mailbox (kSharded: model blocks slot
+  /// by slot; kMultiSPE2: one SPE per slot; otherwise the shared CD SPE,
+  /// one slot at a time). kMultiSPE2 per-feature sends each detection as
   /// its extraction retires, in complete().
-  void detect(InFlight& f);
-  void send_detect(int i, InFlight& f);
+  void detect(Work& w);
   /// A balanced engine's steal loop over the fused lanes; a task the
-  /// guard gives up on is mirrored from `pixels`.
-  std::optional<StealLoop> steal_loop(const img::RgbImage& pixels);
+  /// guard gives up on is mirrored from `w`.
+  std::optional<StealLoop> steal_loop(Work& w);
 
-  void setup_detection(FeatureSlot& slot, const learn::ConceptModelSet& set);
-  void fill_image_msg(FeatureSlot& slot, const img::RgbImage& pixels);
-  void collect(FeatureSlot& slot, features::FeatureVector& fv,
-               DetectionScores& scores, const char* name);
+  // ---- the working set ----
+  /// Sizes `w` for this engine: output buffers, detection messages
+  /// scoring at most `max_models` models per slot (0: all), kSharded
+  /// shard/block staging, and the detection calls.
+  void init_work(Work& w, int max_models);
+  /// Fills `w`'s messages for `w.pixels` (Listing 4's FILL_MSG), its
+  /// shard or fused ranges and partial buffers, and its extraction
+  /// calls; takes over the feed/decode fallbacks staged while the image
+  /// was ingested. Each range message costs 4 stores: `charge_each`
+  /// charges them one range at a time (a stream), otherwise summed per
+  /// image (analyze(), pipelined batches). Throws ConfigError for fused
+  /// images below 16x16, exactly like the TX kernel.
+  void prepare(Work& w, bool charge_each);
+  /// Steal-loop message addresses of a balanced `w`: task t is
+  /// `fused_msgs[t]`, or no task (0) for an empty range. The span is a
+  /// buffer reused from call to call (StealLoop::push copies it).
+  std::span<const std::uint64_t> task_eas(const Work& w);
+  /// Fixed-order merge of `w`'s fused blobs or shard partials into its
+  /// four feature buffers (the cellshard reducers).
+  void reduce(Work& w);
+  /// Concatenates slot `s`'s staged model-block scores (kSharded).
+  void concat_blocks(Work& w, int s);
+  /// Copies `w`'s outputs into a result (Section 3.3, last step),
+  /// handing over its degraded list.
+  AnalysisResult collect(Work& w);
   /// Bumps the images-analyzed counter and drops a timeline marker.
   void note_image_done();
+
+  // ---- kernel calls ----
+  /// Mailbox transport: sends `c` (nothing for an empty range).
+  void send(KernelCall& c);
+  /// Mailbox transport: collects `c` (guard retry, PPE mirror on
+  /// give-up) and records it as an SPE span of `phase`.
+  void finish(KernelCall& c, Work& w, probe::Phase phase);
+  /// Ring transport: re-runs a call the ring lost through the lane's
+  /// guard, with the label and mirror finish() would use.
+  void rerun(const KernelCall& c, Work& w);
+  std::string label(const KernelCall& c) const;
+  /// PPE recompute of `c`'s output into `w`, recorded as degraded.
+  void mirror(const KernelCall& c, Work& w);
+  /// PPE mirror of fused range `j` of `w` (a lane's or a task's): the
+  /// per-feature partials written into the four sections of its blob,
+  /// recorded as degraded "fuse:<feature>".
+  void mirror_fused(Work& w, std::size_t j);
+  void note_degraded(Work& w, const char* stage, int s);
+  /// SPU_Run, or SPU_Run_Naive for an engine built with `use_naive`
+  /// (CH/CC/EH have naive kernel versions).
+  int extract_opcode(int s) const;
 
   // ---- cellfeed paths (no-ops unless set_feed(true)) ----
   /// Decode-or-feed front end shared by analyze(), the pipelined batch
@@ -357,86 +459,6 @@ class CellEngine {
   void feed_fallback_rows(const img::SicEncoded& image,
                           const img::PpmHeader& hdr,
                           const shard::Range& rows, img::RgbImage& dst);
-
-  // ---- PPE mirrors (run when a guarded lane gives up) ----
-  void finish_extract(FeatureSlot& slot, const img::RgbImage& pixels);
-  void fallback_extract(FeatureSlot& slot, const img::RgbImage& pixels);
-  void finish_detect(FeatureSlot& slot);
-  void fallback_detect(FeatureSlot& slot);
-  void note_degraded(const char* stage, const FeatureSlot& slot);
-  /// SPU_Run, or SPU_Run_Naive for an engine built with `use_naive`
-  /// (CH/CC/EH have naive kernel versions).
-  int extract_opcode(const FeatureSlot& slot) const;
-
-  // ---- cellshard paths (kSharded only) ----
-  /// Allocates per-shard messages/partial buffers and the detection
-  /// block staging (construction time).
-  void setup_sharding();
-  /// Computes the current image's shard ranges and fills every shard
-  /// message (after fill_image_msg).
-  void prepare_shards(const img::RgbImage& pixels);
-  /// Dispatches every non-empty shard of every slot.
-  void send_shards();
-  /// Completion side of send_shards(); a shard the guard gives up on is
-  /// recomputed from `pixels` via the PPE mirrors.
-  void wait_shards(const img::RgbImage& pixels);
-  /// Merges slot `i`'s raw partials into its normalized output buffer.
-  void reduce_slot(int i);
-  /// Fixed-order merge of feature `i`'s shard partials (every non-empty
-  /// `rows[j]`'s `parts[j]`) into `out`. Shared with StreamEngine.
-  static void reduce_shards(
-      int i, const std::vector<shard::Range>& rows,
-      const std::vector<cellport::AlignedBuffer<std::uint8_t>>& parts,
-      int w, int h, float* out, sim::ScalarContext* ppe);
-  /// The cellshard reducer of feature `i` over gathered partials: count
-  /// sections for CH/CC/EH, Haar-tile sums for TX.
-  static void reduce_partials(int i,
-                              const std::vector<const std::uint32_t*>& counts,
-                              const std::vector<const double*>& tiles,
-                              const std::vector<int>& tile_doubles, int w,
-                              int h, float* out, sim::ScalarContext* ppe);
-  /// PPE mirror partial for shard `j` of slot `i`.
-  void fallback_shard(int i, int j, const img::RgbImage& pixels);
-  /// Block-split detection for one slot over the detection block lanes.
-  void sharded_detect(FeatureSlot& slot);
-
-  // ---- cellfuse paths (no-ops unless set_fused(true)) ----
-  /// Computes the current image's lane ranges (a balanced engine: its
-  /// finer task ranges, balance::split_tasks), (re)sizes the partial
-  /// blobs and fills the lane/task messages (after fill_image_msg).
-  /// Throws ConfigError for images below 16x16, exactly like the TX
-  /// kernel (a fused lane always computes the wavelet texture).
-  void prepare_fused(const img::RgbImage& pixels);
-  /// Steal-loop message addresses of a fused split: task t is `msgs[t]`,
-  /// or no task (0) for an empty range. The span is a buffer reused from
-  /// call to call (StealLoop::push copies it). Shared with StreamEngine.
-  std::span<const std::uint64_t> fused_task_eas(
-      const std::vector<shard::Range>& rows,
-      const std::vector<port::WrappedMessage<kernels::ImageMsg>>& msgs);
-  /// Dispatches every non-empty lane.
-  void send_fused();
-  /// Completion side of send_fused(); a lane the guard gives up on is
-  /// recomputed from `pixels` via the PPE shard mirrors.
-  void wait_fused(const img::RgbImage& pixels);
-  /// PPE mirror for one lane's (or task's) row range, recorded as
-  /// degraded "fuse:<feature>".
-  void fused_fallback_lane(std::size_t j, const img::RgbImage& pixels);
-  /// Per-feature PPE partials for `range` written into the four sections
-  /// of a fused blob, bit-exact with the kernel (the mirrors zero their
-  /// sections first). Shared with StreamEngine's per-request blobs.
-  static void mirror_fused_range(const img::RgbImage& pixels,
-                                 const shard::Range& range,
-                                 std::uint8_t* blob, sim::ScalarContext* ppe);
-  /// Fixed-order merge of feature `i`'s sections of every non-empty
-  /// range's blob into `out` (the cellshard reducers, fed section
-  /// pointers). Shared with StreamEngine's per-request blobs.
-  static void reduce_fused(
-      int i, const std::vector<shard::Range>& rows,
-      const std::vector<cellport::AlignedBuffer<std::uint8_t>>& parts,
-      int w, int h, float* out, sim::ScalarContext* ppe);
-  /// The fused lanes' (or balanced tasks') reduction of all four
-  /// features into the slot output buffers.
-  void reduce_fused_slots();
 
   // ---- cellbalance paths (no-ops unless set_balanced(true)) ----
   /// Adds a finished loop's task/arm/steal totals to the steal.* counters.
@@ -484,7 +506,6 @@ class CellEngine {
   guard::GuardPolicy guard_;
   std::unique_ptr<guard::SpeHealth> health_;
   trace::Counter* fallback_counter_ = nullptr;
-  std::vector<std::string> degraded_current_;
 
   // The static placement, opened once at construction: plain interfaces
   // for an unguarded engine, GuardedInterfaces for a guarded one. Every
@@ -512,10 +533,10 @@ class CellEngine {
   trace::Counter* feed_images_counter_ = nullptr;
   trace::Counter* feed_rows_counter_ = nullptr;
   trace::Counter* feed_fallback_counter_ = nullptr;
-  /// Degraded records from guarded feed fallbacks. The pipelined loop
-  /// decodes image i+1 while image i is still the current request, so
-  /// feed degradation is staged here and spliced into the degraded list
-  /// of the image it belongs to.
+  /// Degraded records from guarded feed (and decode) fallbacks. The
+  /// pipelined loop decodes image i+1 while image i is still in flight,
+  /// so they are staged here until prepare() hands them to the image's
+  /// working set.
   std::vector<std::string> feed_pending_degraded_;
 
   // celldecode state: the block-row tasks of the image decode_on_spes()
@@ -539,29 +560,21 @@ class CellEngine {
   // cellfuse state.
   bool fused_ = false;
   shard::FusedPlan fused_plan_;
-  std::vector<port::WrappedMessage<kernels::ImageMsg>> fused_msgs_;
-  std::vector<cellport::AlignedBuffer<std::uint8_t>> fused_parts_;
-  std::vector<shard::Range> fused_rows_;
-  std::vector<std::uint64_t> task_eas_;  // fused_task_eas()'s buffer
+  std::vector<std::uint64_t> task_eas_;  // task_eas()'s buffer
   trace::Counter* fuse_images_counter_ = nullptr;
-  sim::SimTime fused_send_ns_ = 0;
 
   // cellshard state (kSharded only).
   shard::ShardPlan plan_;
-  std::vector<cellport::port::WrappedMessage<kernels::DetectMsg>>
-      cd_block_msgs_;
-  std::vector<cellport::AlignedBuffer<double>> cd_block_scores_;
   trace::Counter* shard_reduce_counter_ = nullptr;
 
   // cellprobe state: the sink (null = probing off) and the request
-  // trace reused across requests. `shard_send_ns_` remembers when the
-  // current image's shard dispatch began so wait_shards can record
-  // per-shard SPE child spans.
+  // trace reused across requests.
   probe::ProbeSink* probe_ = nullptr;
   probe::RequestTrace rt_;
-  sim::SimTime shard_send_ns_ = 0;
 
   FeatureSlot slots_[4];
+  /// The working set of analyze() and pipelined batches.
+  Work work_;
 };
 
 }  // namespace cellport::marvel

@@ -12,6 +12,10 @@
 //   - plain: finish() waits; a kernel fault first collects every other
 //     call still in flight, then propagates, so the engine stays usable.
 //
+// A command ring that loses a guarded call (a missed batch deadline, a
+// faulted request, a closed interface) re-runs it alone through call(),
+// under the same label and PPE mirror finish() would use.
+//
 // Non-owning: the engine owns the interfaces behind its lanes.
 #pragma once
 
@@ -82,6 +86,26 @@ struct Lane {
     if (!r.ok) mirror();
     return std::max(r.attempts - 1, 0);
   }
+
+  /// Runs one call a command ring lost, alone, through the guard's retry
+  /// loop (guarded lanes only). The interval lands in `rt` as a
+  /// kGuardRetry span named `label()`; `mirror()` recomputes the call's
+  /// output on the PPE when the guard gives up.
+  template <typename Label, typename Mirror>
+  void call(sim::ScalarContext& ppe, probe::RequestTrace* rt, int op,
+            std::uint64_t ea, const Label& label,
+            const Mirror& mirror) const {
+    const sim::SimTime t0 = ppe.now_ns();
+    const guard::GuardedInterface::Result r = gi->Call(op, ea);
+    if (rt != nullptr) {
+      rt->add_closed(probe::Phase::kGuardRetry, label(), t0, ppe.now_ns());
+    }
+    if (!r.ok) mirror();
+  }
+
+  /// Two lanes are the same placement when they share an interface (the
+  /// slots of a shared detection SPE hold copies of one lane).
+  friend bool operator==(const Lane&, const Lane&) = default;
 
   /// Collects a pending call and drops its verdict (best effort: a
   /// kernel error is swallowed). Teardown after an aborted schedule.

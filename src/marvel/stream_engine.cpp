@@ -1,22 +1,10 @@
 #include "marvel/stream_engine.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "features/texture.h"
-#include "shard/mirror.h"
-#include "shard/reducer.h"
 #include "support/error.h"
 
 namespace cellport::marvel {
-
-namespace {
-
-std::size_t padded_dim(int dim) {
-  return cellport::round_up(static_cast<std::size_t>(dim), 8);
-}
-
-}  // namespace
 
 StreamEngine::StreamEngine(CellEngine& engine, const StreamOptions& opts)
     : engine_(engine), opts_(opts) {
@@ -32,79 +20,16 @@ StreamEngine::StreamEngine(CellEngine& engine, const StreamOptions& opts)
   if (engine_.guard_.enabled) {
     guard_deadline_ns_ = engine_.guard_.retry.deadline_ns;
   }
-  const bool sharded = engine_.scenario_ == Scenario::kSharded;
-  for (int s = 0; s < 4; ++s) {
-    // cellserve degrade ladder: score only a prefix of each slot's model
-    // set. The clamp lands once, here, and every path below (detect
-    // messages, shard blocks, fallbacks, collect) reads scored_models_.
-    const auto full =
-        static_cast<int>(engine_.slots_[s].set->models.size());
-    scored_models_[s] =
-        opts_.max_models > 0 ? std::min(full, opts_.max_models) : full;
-    if (sharded) {
-      cd_blocks_[s] =
-          shard::split_rows(scored_models_[s], engine_.plan_.detect_spes);
-    }
-  }
-  // Raw-partial bytes per shard (TX is tile-count dependent and (re)sized
-  // in prepare_image; see CellEngine::setup_sharding).
-  const std::size_t part_bytes[4] = {
-      kernels::kShardChWords * sizeof(std::uint32_t),
-      kernels::kShardCcWords * sizeof(std::uint32_t),
-      0,
-      kernels::kShardEhWords * sizeof(std::uint32_t),
-  };
   const std::size_t in_flight =
       engine_.balanced_ ? (decode_ahead_ ? 2u : 1u)
                         : static_cast<std::size_t>(opts_.batch) *
                               (pipelined_ ? 2u : 1u);
   bufs_.reserve(in_flight);
   for (std::size_t j = 0; j < in_flight; ++j) {
-    auto pi = std::make_unique<PerImage>();
-    for (int s = 0; s < 4; ++s) {
-      CellEngine::FeatureSlot& slot = engine_.slots_[s];
-      SlotBuf& sb = pi->sb[s];
-      sb.out = cellport::AlignedBuffer<float>(padded_dim(slot.dim));
-      sb.scores = cellport::AlignedBuffer<double>(slot.scores.size());
-      // The detection message is static per buffer: it reads this
-      // buffer's feature vector and writes this buffer's scores. The
-      // model descriptors stay shared, read-only, with the engine.
-      kernels::DetectMsg& dm = *sb.detect_msg;
-      dm = *slot.detect_msg;
-      dm.num_models = scored_models_[s];
-      dm.feature_ea = reinterpret_cast<std::uint64_t>(sb.out.data());
-      dm.scores_ea = reinterpret_cast<std::uint64_t>(sb.scores.data());
-      if (!sharded) continue;
-      const auto n =
-          static_cast<std::size_t>(engine_.plan_.extract_shards[s]);
-      sb.shard_msgs =
-          std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
-      sb.shard_parts.resize(n);
-      if (part_bytes[s] > 0) {
-        for (auto& p : sb.shard_parts) {
-          p = cellport::AlignedBuffer<std::uint8_t>(part_bytes[s]);
-        }
-      }
-      // Detection block staging is static per buffer like detect_msg:
-      // the block split depends only on the model count.
-      const auto d = static_cast<std::size_t>(engine_.plan_.detect_spes);
-      sb.block_msgs =
-          std::vector<port::WrappedMessage<kernels::DetectMsg>>(d);
-      sb.block_scores.resize(d);
-      for (std::size_t b = 0; b < d; ++b) {
-        const shard::Range& block = cd_blocks_[s][b];
-        sb.block_scores[b] =
-            cellport::AlignedBuffer<double>(sb.scores.size());
-        if (block.empty()) continue;
-        kernels::DetectMsg& bm = *sb.block_msgs[b];
-        bm = dm;
-        bm.model_begin = block.begin;
-        bm.num_models = block.count();
-        bm.scores_ea =
-            reinterpret_cast<std::uint64_t>(sb.block_scores[b].data());
-      }
-    }
-    bufs_.push_back(std::move(pi));
+    bufs_.push_back(std::make_unique<Work>());
+    // cellserve degrade ladder: the clamp lands once, in the working
+    // set's detection messages, blocks and collect.
+    engine_.init_work(*bufs_.back(), opts_.max_models);
   }
 }
 
@@ -130,105 +55,6 @@ StreamEngine::Window StreamEngine::window(std::size_t w,
     win[j] = bufs_[base + j].get();
   }
   return win;
-}
-
-void StreamEngine::prepare_image(
-    PerImage& pi, const img::SicEncoded& image,
-    const std::function<void()>& between_slices, StealLoop* loop,
-    std::size_t owner) {
-  sim::ScalarContext& ppe = engine_.machine_.ppe();
-  pi.pixels = engine_.ingest(image, between_slices, std::move(pi.pixels),
-                             loop, owner);
-  // cellfeed and celldecode fallbacks staged during ingest() belong to
-  // this image.
-  pi.degraded = std::move(engine_.feed_pending_degraded_);
-  engine_.feed_pending_degraded_.clear();
-  stats_.fallbacks += pi.degraded.size();
-  for (int s = 0; s < 4; ++s) {
-    // Listing 4's FILL_MSG_FROM_COLORIMAGE, against this buffer's private
-    // message.
-    ppe.charge(sim::OpClass::kStore, 12);
-    kernels::ImageMsg& m = *pi.sb[s].msg;
-    m.pixels_ea = reinterpret_cast<std::uint64_t>(pi.pixels.data());
-    m.width = pi.pixels.width();
-    m.height = pi.pixels.height();
-    m.stride = pi.pixels.stride();
-    m.buffering = engine_.buffering_;
-    m.out_ea = reinterpret_cast<std::uint64_t>(pi.sb[s].out.data());
-    m.out_count = engine_.slots_[s].dim;
-  }
-  if (engine_.fused_ || engine_.balanced_) {
-    // cellfuse: extraction rides fused lanes instead of the feature
-    // slots. Same small-image precondition as CellEngine::prepare_fused
-    // (a fused lane always computes the wavelet texture). cellbalance
-    // reuses the lane machinery at TASK granularity: the descriptor
-    // split is tile-aligned and finer than the lane count, so lanes
-    // can steal across it (and across images) in the wait phase.
-    const int ih = pi.pixels.height();
-    if (pi.pixels.width() < (1 << features::kTextureLevels) ||
-        ih < (1 << features::kTextureLevels)) {
-      throw cellport::ConfigError(
-          "image too small for the 4-level wavelet texture");
-    }
-    const auto lanes_n = static_cast<int>(engine_.fused_lanes_.size());
-    pi.fused_rows = engine_.balanced_
-                        ? balance::split_tasks(ih, lanes_n)
-                        : shard::split_fused(ih, lanes_n);
-    const std::size_t n = pi.fused_rows.size();
-    if (pi.fused_msgs.size() < n) {
-      pi.fused_msgs =
-          std::vector<port::WrappedMessage<kernels::ImageMsg>>(n);
-    }
-    if (pi.fused_parts.size() < n) pi.fused_parts.resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const shard::Range& r = pi.fused_rows[k];
-      if (r.empty()) continue;
-      const std::size_t bytes = kernels::fused_partial_bytes(
-          pi.pixels.width(), ih, r.begin, r.end);
-      if (pi.fused_parts[k].bytes() < bytes) {
-        pi.fused_parts[k] =
-            cellport::AlignedBuffer<std::uint8_t>(bytes);
-      }
-      ppe.charge(sim::OpClass::kStore, 4);
-      kernels::ImageMsg& m = *pi.fused_msgs[k];
-      m = *pi.sb[0].msg;
-      m.row_begin = r.begin;
-      m.row_end = r.end;
-      m.out_ea = reinterpret_cast<std::uint64_t>(pi.fused_parts[k].data());
-    }
-    return;
-  }
-  if (engine_.scenario_ != Scenario::kSharded) return;
-  // cellshard: the shard plan is fixed, the ranges follow this image's
-  // shape. Each shard message is the slot message plus its row range,
-  // writing the raw partial instead of the feature vector.
-  for (int s = 0; s < 4; ++s) {
-    SlotBuf& sb = pi.sb[s];
-    const int n = engine_.plan_.extract_shards[s];
-    sb.shard_rows = s == shard::kSlotTx
-                        ? shard::split_tiles(pi.pixels.height(), n)
-                        : shard::split_rows(pi.pixels.height(), n);
-    for (int k = 0; k < n; ++k) {
-      const shard::Range& r = sb.shard_rows[static_cast<std::size_t>(k)];
-      if (r.empty()) continue;
-      if (s == shard::kSlotTx) {
-        const auto bytes = static_cast<std::size_t>(
-                               shard::tx_partial_doubles(r)) *
-                           sizeof(double);
-        auto& part = sb.shard_parts[static_cast<std::size_t>(k)];
-        if (part.bytes() < bytes) {
-          part = cellport::AlignedBuffer<std::uint8_t>(bytes);
-        }
-      }
-      ppe.charge(sim::OpClass::kStore, 4);
-      kernels::ImageMsg& m = *sb.shard_msgs[static_cast<std::size_t>(k)];
-      m = *sb.msg;
-      m.row_begin = r.begin;
-      m.row_end = r.end;
-      m.out_ea = reinterpret_cast<std::uint64_t>(
-          sb.shard_parts[static_cast<std::size_t>(k)].data());
-    }
-  }
 }
 
 void StreamEngine::abandon_rings() {
@@ -273,449 +99,103 @@ void StreamEngine::wait_batch(port::SPEInterface* iface, std::size_t n,
   }
 }
 
-void StreamEngine::flush_shard_slot(const Window& win, int s) {
-  const std::size_t count = win.size();
-  const auto cap = static_cast<std::uint32_t>(opts_.batch) *
-                   (pipelined_ ? 2u : 1u);
-  const auto spu_run = static_cast<int>(kernels::SPU_Run);
-  for (int k = 0; k < engine_.plan_.extract_shards[s]; ++k) {
-    const auto kk = static_cast<std::size_t>(k);
-    // A ring is armed only on a shard the window gives rows to: arming
-    // costs the SPE a descriptor fetch no request would wait for.
-    if (std::none_of(win.begin(), win.end(), [&](const PerImage* pi) {
-          return !pi->sb[s].shard_rows[kk].empty();
-        })) {
-      continue;
-    }
-    port::SPEInterface* iface =
-        ensure_ring(engine_.slots_[s].shards[kk].ring(), cap);
-    if (iface == nullptr) continue;  // guarded + closed: wait resolves it
-    for (std::size_t j = 0; j < count; ++j) {
-      SlotBuf& sb = win[j]->sb[s];
-      if (sb.shard_rows[kk].empty()) continue;
-      iface->Enqueue(spu_run, sb.shard_msgs[kk].ea());
-    }
-    flush_ring(iface);
-  }
-}
-
-void StreamEngine::wait_shard_slot(const Window& win, int s) {
-  for (int k = 0; k < engine_.plan_.extract_shards[s]; ++k) {
-    // The requests this shard's ring actually carries for this window
-    // (empty ranges were never enqueued).
-    Window live;
-    for (PerImage* pi : win) {
-      if (!pi->sb[s].shard_rows[static_cast<std::size_t>(k)].empty()) {
-        live.push_back(pi);
-      }
-    }
-    if (live.empty()) continue;
-    wait_batch(engine_.slots_[s].shards[static_cast<std::size_t>(k)].ring(),
-               live.size(), "shard extract",
-               [&](std::size_t i) { rerun_shard(s, k, *live[i]); });
-  }
-}
-
-void StreamEngine::reduce_window(const Window& win) {
-  sim::ScalarContext* ppe = &engine_.machine_.ppe();
-  for (PerImage* p : win) {
-    PerImage& pi = *p;
-    for (int s = 0; s < 4; ++s) {
-      SlotBuf& sb = pi.sb[s];
-      CellEngine::reduce_shards(s, sb.shard_rows, sb.shard_parts,
-                                pi.pixels.width(), pi.pixels.height(),
-                                sb.out.data(), ppe);
-    }
-    engine_.shard_reduce_counter_->add(1);
-  }
-}
-
-void StreamEngine::run_detect_sharded(const Window& win) {
-  const std::size_t count = win.size();
-  const auto spu_run = static_cast<int>(kernels::SPU_Run);
-  const auto cap = static_cast<std::uint32_t>(opts_.batch) * 4u;
-  // Detection interface b carries block b of EVERY slot's model set —
-  // 4 * count requests behind one doorbell.
-  for (int b = 0; b < engine_.plan_.detect_spes; ++b) {
-    std::vector<std::pair<std::size_t, int>> live;  // (image, slot)
-    for (std::size_t j = 0; j < count; ++j) {
-      for (int s = 0; s < 4; ++s) {
-        if (!cd_blocks_[s][static_cast<std::size_t>(b)].empty()) {
-          live.emplace_back(j, s);
-        }
-      }
-    }
-    if (live.empty()) continue;
-    const auto bi = static_cast<std::size_t>(b);
-    port::SPEInterface* iface = engine_.cd_block_lanes_[bi].ring();
-    if (iface != nullptr) {
-      ensure_ring(iface, cap);
-      for (const auto& [j, s] : live) {
-        iface->Enqueue(spu_run, win[j]->sb[s].block_msgs[bi].ea());
-      }
-      flush_ring(iface);
-    }
-    wait_batch(iface, live.size(), "shard detect", [&](std::size_t i) {
-      rerun_detect_block(live[i].second, b, *win[live[i].first]);
-    });
-  }
-  // Concatenate the staged blocks into each image's score arrays.
-  sim::ScalarContext* ppe = &engine_.machine_.ppe();
-  for (std::size_t j = 0; j < count; ++j) {
-    for (int s = 0; s < 4; ++s) {
-      SlotBuf& sb = win[j]->sb[s];
-      std::vector<const double*> parts;
-      std::vector<int> counts;
-      for (std::size_t b = 0; b < sb.block_scores.size(); ++b) {
-        if (cd_blocks_[s][b].empty()) continue;
-        parts.push_back(sb.block_scores[b].data());
-        counts.push_back(cd_blocks_[s][b].count());
-      }
-      shard::concat_scores(parts.data(), counts.data(),
-                           static_cast<int>(parts.size()),
-                           sb.scores.data(), ppe);
-    }
-  }
-}
-
-void StreamEngine::rerun_shard(int s, int k, PerImage& pi) {
-  ++stats_.request_retries;
-  SlotBuf& sb = pi.sb[s];
-  const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r =
-      engine_.slots_[s].shards[static_cast<std::size_t>(k)].gi->Call(
-          static_cast<int>(kernels::SPU_Run),
-          sb.shard_msgs[static_cast<std::size_t>(k)].ea());
-  engine_.rt_.add_closed(probe::Phase::kGuardRetry,
-                         std::string(engine_.slots_[s].name) + "[" +
-                             std::to_string(k) + "]",
-                         retry_t0, engine_.machine_.ppe().now_ns());
-  if (r.ok) return;
-  probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                        engine_.machine_.ppe(),
-                        std::string("shard:") + engine_.slots_[s].name);
-  const shard::Range& range = sb.shard_rows[static_cast<std::size_t>(k)];
-  void* part = sb.shard_parts[static_cast<std::size_t>(k)].data();
-  sim::ScalarContext* ppe = &engine_.machine_.ppe();
-  switch (s) {
-    case shard::kSlotCh:
-      shard::ppe_partial_ch(pi.pixels, range,
-                            static_cast<std::uint32_t*>(part), ppe);
-      break;
-    case shard::kSlotCc:
-      shard::ppe_partial_cc(pi.pixels, range,
-                            static_cast<std::uint32_t*>(part), ppe);
-      break;
-    case shard::kSlotTx:
-      shard::ppe_partial_tx(pi.pixels, range, static_cast<double*>(part),
-                            ppe);
-      break;
-    default:
-      shard::ppe_partial_eh(pi.pixels, range,
-                            static_cast<std::uint32_t*>(part), ppe);
-      break;
-  }
-  note_degraded("shard", s, pi);
-}
-
-void StreamEngine::rerun_detect_block(int s, int b, PerImage& pi) {
-  ++stats_.request_retries;
-  SlotBuf& sb = pi.sb[s];
-  const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r =
-      engine_.cd_block_lanes_[static_cast<std::size_t>(b)].gi->Call(
-          static_cast<int>(kernels::SPU_Run),
-          sb.block_msgs[static_cast<std::size_t>(b)].ea());
-  engine_.rt_.add_closed(probe::Phase::kGuardRetry,
-                         std::string("cd[") + std::to_string(b) + "]:" +
-                             engine_.slots_[s].name,
-                         retry_t0, engine_.machine_.ppe().now_ns());
-  if (r.ok) return;
-  probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                        engine_.machine_.ppe(),
-                        std::string("detect:") + engine_.slots_[s].name);
-  CellEngine::FeatureSlot& slot = engine_.slots_[s];
-  shard::ppe_detect_block(sb.out.data(), slot.dim, *slot.set,
-                          cd_blocks_[s][static_cast<std::size_t>(b)],
-                          sb.block_scores[static_cast<std::size_t>(b)].data(),
-                          &engine_.machine_.ppe());
-  note_degraded("detect", s, pi);
-}
-
-// ---- cellfuse flows ----
+// ---- the ring transport ----
 //
-// The call sites still iterate the four feature slots; with the fused
-// knob on, slot 0 carries the whole window over the lane rings and the
-// other slots are no-ops (their extraction happened in the fused pass).
+// The same call lists analyze() sends over the mailbox, grouped by lane:
+// every call of a window that rides one lane goes behind one doorbell,
+// request-major, and a call the ring lost re-runs alone through the
+// engine's guard-call helper.
 
-void StreamEngine::flush_fused_window(const Window& win) {
-  const std::size_t count = win.size();
-  const auto cap = static_cast<std::uint32_t>(opts_.batch) *
-                   (pipelined_ ? 2u : 1u);
-  const auto op = static_cast<int>(kernels::SPU_Run_Fused);
-  const std::vector<Lane>& lanes = engine_.fused_lanes_;
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    // Armed only on a lane the window gives rows to (small images leave
-    // the later lanes empty).
-    if (std::none_of(win.begin(), win.end(), [&](const PerImage* pi) {
-          return !pi->fused_rows[k].empty();
-        })) {
-      continue;
+std::vector<const Lane*> StreamEngine::lanes(const Window& win,
+                                             CallList list, int slot) const {
+  std::vector<const Lane*> out;
+  for (const KernelCall& c : win.front()->*list) {
+    if (slot >= 0 && c.slot != slot) continue;
+    if (std::none_of(out.begin(), out.end(),
+                     [&](const Lane* l) { return *l == *c.lane; })) {
+      out.push_back(c.lane);
     }
-    port::SPEInterface* iface = ensure_ring(lanes[k].ring(), cap);
-    if (iface == nullptr) continue;  // guarded + closed: wait resolves it
-    for (std::size_t j = 0; j < count; ++j) {
-      PerImage& pi = *win[j];
-      if (pi.fused_rows[k].empty()) continue;
-      iface->Enqueue(op, pi.fused_msgs[k].ea());
+  }
+  return out;
+}
+
+void StreamEngine::flush(const Window& win, CallList list, const Lane& lane,
+                         std::uint32_t windows) {
+  // The ring holds every position of the list on this lane for each
+  // request of `windows` windows.
+  const auto per_request = static_cast<std::uint32_t>(
+      std::count_if((win.front()->*list).begin(), (win.front()->*list).end(),
+                    [&](const KernelCall& c) { return *c.lane == lane; }));
+  const bool live = std::any_of(win.begin(), win.end(), [&](const Work* w) {
+    return std::any_of((w->*list).begin(), (w->*list).end(),
+                       [&](const KernelCall& c) {
+                         return *c.lane == lane && c.ea != 0;
+                       });
+  });
+  if (!live) return;
+  port::SPEInterface* iface = ensure_ring(
+      lane.ring(),
+      static_cast<std::uint32_t>(opts_.batch) * per_request * windows);
+  if (iface == nullptr) return;  // guarded + closed: the wait re-runs
+  for (const Work* w : win) {
+    for (const KernelCall& c : w->*list) {
+      if (*c.lane == lane && c.ea != 0) iface->Enqueue(c.op, c.ea);
     }
-    flush_ring(iface);
-  }
-}
-
-void StreamEngine::wait_fused_window(const Window& win) {
-  const std::vector<Lane>& lanes = engine_.fused_lanes_;
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    Window live;
-    for (PerImage* pi : win) {
-      if (!pi->fused_rows[k].empty()) live.push_back(pi);
-    }
-    if (live.empty()) continue;
-    wait_batch(lanes[k].ring(), live.size(), "fused extract",
-               [&](std::size_t i) { rerun_fused_lane(k, *live[i]); });
-  }
-}
-
-void StreamEngine::rerun_fused_lane(std::size_t k, PerImage& pi) {
-  ++stats_.request_retries;
-  const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r = engine_.fused_lanes_[k].gi->Call(
-      static_cast<int>(kernels::SPU_Run_Fused), pi.fused_msgs[k].ea());
-  engine_.rt_.add_closed(probe::Phase::kGuardRetry,
-                         "fused[" + std::to_string(k) + "]", retry_t0,
-                         engine_.machine_.ppe().now_ns());
-  if (!r.ok) fallback_fused_range(pi, k, "fuse[" + std::to_string(k) + "]");
-}
-
-void StreamEngine::fallback_fused_range(PerImage& pi, std::size_t k,
-                                        const std::string& label) {
-  probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                        engine_.machine_.ppe(), label);
-  CellEngine::mirror_fused_range(pi.pixels, pi.fused_rows[k],
-                                 pi.fused_parts[k].data(),
-                                 &engine_.machine_.ppe());
-  for (int s = 0; s < 4; ++s) note_degraded("fuse", s, pi);
-}
-
-void StreamEngine::reduce_fused_window(const Window& win) {
-  sim::ScalarContext* ppe = &engine_.machine_.ppe();
-  for (PerImage* p : win) {
-    PerImage& pi = *p;
-    for (int s = 0; s < 4; ++s) {
-      CellEngine::reduce_fused(s, pi.fused_rows, pi.fused_parts,
-                               pi.pixels.width(), pi.pixels.height(),
-                               pi.sb[s].out.data(), ppe);
-    }
-    engine_.fuse_images_counter_->add(1);
-  }
-}
-
-void StreamEngine::flush_extract_slot(const Window& win, int s) {
-  if (engine_.fused_) {
-    if (s == 0) flush_fused_window(win);
-    return;
-  }
-  if (engine_.scenario_ == Scenario::kSharded) {
-    flush_shard_slot(win, s);
-    return;
-  }
-  const std::size_t count = win.size();
-  const auto cap = static_cast<std::uint32_t>(opts_.batch) *
-                   (pipelined_ ? 2u : 1u);
-  port::SPEInterface* iface =
-      ensure_ring(engine_.slots_[s].extract.ring(), cap);
-  if (iface == nullptr) return;  // guarded + closed: resolved in the wait
-  const int opcode = engine_.extract_opcode(engine_.slots_[s]);
-  for (std::size_t j = 0; j < count; ++j) {
-    iface->Enqueue(opcode, win[j]->sb[s].msg.ea());
   }
   flush_ring(iface);
 }
 
-void StreamEngine::wait_extract_slot(const Window& win, int s) {
-  if (engine_.fused_) {
-    if (s == 0) wait_fused_window(win);
-    return;
+void StreamEngine::wait(const Window& win, CallList list, const Lane& lane) {
+  std::vector<std::pair<Work*, const KernelCall*>> live;
+  for (Work* w : win) {
+    for (const KernelCall& c : w->*list) {
+      if (*c.lane == lane && c.ea != 0) live.emplace_back(w, &c);
+    }
   }
-  if (engine_.scenario_ == Scenario::kSharded) {
-    wait_shard_slot(win, s);
-    return;
-  }
-  wait_batch(engine_.slots_[s].extract.ring(), win.size(), "extract",
-             [&](std::size_t j) { rerun_extract(s, *win[j]); });
+  if (live.empty()) return;
+  static constexpr const char* kStage[] = {
+      "extract", "shard extract", "fused extract", "detect", "shard detect"};
+  wait_batch(lane.ring(), live.size(),
+             kStage[static_cast<int>(live.front().second->kind)],
+             [&](std::size_t i) {
+               ++stats_.request_retries;
+               engine_.rerun(*live[i].second, *live[i].first);
+             });
 }
 
 void StreamEngine::run_detect(const Window& win) {
   sim::ScalarContext& ppe = engine_.machine_.ppe();
-  if (engine_.fused_ || engine_.balanced_) {
-    // Lane (or task) blobs must merge before detection can read the
-    // feature vectors, whatever the scenario.
-    probe::ProbeSpan span(engine_.prt(), probe::Phase::kReduce, ppe,
-                          "fuse_reduce");
-    reduce_fused_window(win);
-  }
-  if (engine_.scenario_ == Scenario::kSharded) {
+  const bool fused = engine_.fused_ || engine_.balanced_;
+  const bool sharded = engine_.scenario_ == Scenario::kSharded;
+  if (fused || sharded) {
     // Partials must merge before detection can read the feature vectors.
-    if (!engine_.fused_ && !engine_.balanced_) {
-      probe::ProbeSpan span(engine_.prt(), probe::Phase::kReduce, ppe,
-                            "reduce_window");
-      reduce_window(win);
-    }
-    probe::ProbeSpan span(engine_.prt(), probe::Phase::kDetect, ppe,
-                          "detect_blocks");
-    run_detect_sharded(win);
-    return;
+    probe::ProbeSpan span(engine_.prt(), probe::Phase::kReduce, ppe,
+                          fused ? "fuse_reduce" : "reduce_window");
+    for (Work* w : win) engine_.reduce(*w);
   }
-  probe::ProbeSpan detect_span(engine_.prt(), probe::Phase::kDetect, ppe,
-                               "detect");
-  const std::size_t count = win.size();
-  const auto spu_run = static_cast<int>(kernels::SPU_Run);
-
-  if (engine_.scenario_ == Scenario::kMultiSPE2) {
-    // Each slot's detection rides its own ring (one doorbell per slot).
-    const auto cap = static_cast<std::uint32_t>(opts_.batch);
-    for (int s = 0; s < 4; ++s) {
-      port::SPEInterface* iface =
-          ensure_ring(engine_.slots_[s].detect.ring(), cap);
-      if (iface != nullptr) {
-        for (PerImage* pi : win) {
-          iface->Enqueue(spu_run, pi->sb[s].detect_msg.ea());
-        }
-        flush_ring(iface);
-      }
-      wait_batch(iface, count, "detect",
-                 [&](std::size_t j) { rerun_detect(s, *win[j]); });
-    }
-    return;
+  probe::ProbeSpan span(engine_.prt(), probe::Phase::kDetect, ppe,
+                        sharded ? "detect_blocks" : "detect");
+  // kMultiSPE2: one ring per slot; the shared CD SPE: every slot of
+  // every request behind one doorbell; kSharded: block b of every slot
+  // on detection ring b.
+  for (const Lane* lane : lanes(win, &Work::detect)) {
+    flush(win, &Work::detect, *lane, 1);
+    wait(win, &Work::detect, *lane);
   }
-
-  // Shared concept-detection SPE: all 4*count requests ride one ring
-  // behind one doorbell.
-  const auto cap = static_cast<std::uint32_t>(opts_.batch) * 4u;
-  port::SPEInterface* iface =
-      ensure_ring(engine_.slots_[0].detect.ring(), cap);
-  if (iface != nullptr) {
-    for (PerImage* pi : win) {
-      for (int s = 0; s < 4; ++s) {
-        iface->Enqueue(spu_run, pi->sb[s].detect_msg.ea());
-      }
-    }
-    flush_ring(iface);
+  if (!sharded) return;
+  for (Work* w : win) {
+    for (int s = 0; s < 4; ++s) engine_.concat_blocks(*w, s);
   }
-  wait_batch(iface, 4 * count, "detect", [&](std::size_t i) {
-    rerun_detect(static_cast<int>(i % 4), *win[i / 4]);
-  });
 }
 
 void StreamEngine::collect_window(const Window& win,
                                   std::vector<AnalysisResult>* out) {
   sim::ScalarContext& ppe = engine_.machine_.ppe();
-  for (PerImage* p : win) {
-    PerImage& pi = *p;
-    AnalysisResult result;
-    features::FeatureVector* fvs[4] = {
-        &result.color_histogram, &result.color_correlogram,
-        &result.texture, &result.edge_histogram};
-    DetectionScores* ds[4] = {&result.ch_detect, &result.cc_detect,
-                              &result.tx_detect, &result.eh_detect};
-    for (int s = 0; s < 4; ++s) {
-      CellEngine::FeatureSlot& slot = engine_.slots_[s];
-      SlotBuf& sb = pi.sb[s];
-      ppe.charge(sim::OpClass::kLoad,
-                 static_cast<std::uint64_t>(slot.dim) + sb.scores.size());
-      ppe.charge(sim::OpClass::kStore,
-                 static_cast<std::uint64_t>(slot.dim) + sb.scores.size());
-      fvs[s]->name = slot.name;
-      fvs[s]->values.assign(sb.out.data(), sb.out.data() + slot.dim);
-      ds[s]->values.assign(sb.scores.data(),
-                           sb.scores.data() + scored_models_[s]);
-    }
-    result.degraded = std::move(pi.degraded);
+  for (Work* w : win) {
+    out->push_back(engine_.collect(*w));
+    stats_.fallbacks += out->back().degraded.size();
     engine_.note_image_done();
     completions_.push_back(ppe.now_ns());
-    out->push_back(std::move(result));
-  }
-}
-
-void StreamEngine::rerun_extract(int s, PerImage& pi) {
-  ++stats_.request_retries;
-  const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r = engine_.slots_[s].extract.gi->Call(
-      engine_.extract_opcode(engine_.slots_[s]), pi.sb[s].msg.ea());
-  engine_.rt_.add_closed(probe::Phase::kGuardRetry,
-                         engine_.slots_[s].name, retry_t0,
-                         engine_.machine_.ppe().now_ns());
-  if (!r.ok) fallback_extract(s, pi);
-}
-
-void StreamEngine::rerun_detect(int s, PerImage& pi) {
-  ++stats_.request_retries;
-  const sim::SimTime retry_t0 = engine_.machine_.ppe().now_ns();
-  guard::GuardedInterface::Result r = engine_.slots_[s].detect.gi->Call(
-      static_cast<int>(kernels::SPU_Run), pi.sb[s].detect_msg.ea());
-  engine_.rt_.add_closed(probe::Phase::kGuardRetry,
-                         std::string("cd:") + engine_.slots_[s].name,
-                         retry_t0, engine_.machine_.ppe().now_ns());
-  if (!r.ok) fallback_detect(s, pi);
-}
-
-void StreamEngine::fallback_extract(int s, PerImage& pi) {
-  probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                        engine_.machine_.ppe(),
-                        std::string("extract:") + engine_.slots_[s].name);
-  CellEngine::FeatureSlot& slot = engine_.slots_[s];
-  features::FeatureVector fv =
-      slot.ref_extract(pi.pixels, &engine_.machine_.ppe());
-  engine_.machine_.ppe().charge(sim::OpClass::kStore,
-                                static_cast<std::uint64_t>(slot.dim));
-  std::memcpy(pi.sb[s].out.data(), fv.values.data(),
-              static_cast<std::size_t>(slot.dim) * sizeof(float));
-  note_degraded("extract", s, pi);
-}
-
-void StreamEngine::fallback_detect(int s, PerImage& pi) {
-  probe::ProbeSpan span(engine_.prt(), probe::Phase::kFallback,
-                        engine_.machine_.ppe(),
-                        std::string("detect:") + engine_.slots_[s].name);
-  CellEngine::FeatureSlot& slot = engine_.slots_[s];
-  features::FeatureVector fv;
-  fv.name = slot.name;
-  fv.values.assign(pi.sb[s].out.data(), pi.sb[s].out.data() + slot.dim);
-  DetectionScores scores =
-      reference_detect(fv, *slot.set, &engine_.machine_.ppe());
-  engine_.machine_.ppe().charge(sim::OpClass::kStore,
-                                scores.values.size());
-  // Under a serve concept clamp only the scored prefix lands in the
-  // buffer; the reference charge stays the full set (the PPE fallback
-  // has no short-batch kernel to lean on).
-  const auto copy = std::min(scores.values.size(),
-                             static_cast<std::size_t>(scored_models_[s]));
-  std::memcpy(pi.sb[s].scores.data(), scores.values.data(),
-              copy * sizeof(double));
-  note_degraded("detect", s, pi);
-}
-
-void StreamEngine::note_degraded(const char* stage, int s, PerImage& pi) {
-  ++stats_.fallbacks;
-  pi.degraded.push_back(std::string(stage) + ":" +
-                        engine_.slots_[s].name);
-  engine_.fallback_counter_->add(1);
-  sim::ScalarContext& ppe = engine_.machine_.ppe();
-  if (ppe.trace_on()) {
-    ppe.trace_track()->instant(trace::Category::kRuntime,
-                               "ppe_fallback:" + pi.degraded.back(),
-                               ppe.now_ns(), "count",
-                               engine_.fallback_counter_->value());
   }
 }
 
@@ -885,25 +365,39 @@ void StreamEngine::run_windows(
     probe::ProbeSpan span(rt, probe::Phase::kDecode, ppe, "prepare_window");
     const Window win = window(w, total);
     for (std::size_t j = 0; j < win.size(); ++j) {
-      prepare_image(*win[j], *images[w * B + j]);
+      Work& work = *win[j];
+      work.pixels = engine_.ingest(*images[w * B + j], {},
+                                   std::move(work.pixels));
+      engine_.prepare(work, /*charge_each=*/true);
     }
   };
-  auto flush = [&](std::size_t w) {
+  // Extraction rides one ring per lane; slot s's lanes are waited (and
+  // closed as one window span) before slot s+1's.
+  const std::uint32_t windows = pipelined_ ? 2 : 1;
+  auto flush_slot = [&](const Window& win, int s) {
+    for (const Lane* lane : lanes(win, &Work::extract, s)) {
+      flush(win, &Work::extract, *lane, windows);
+    }
+  };
+  auto wait_slot = [&](const Window& win, std::size_t w, int s) {
+    for (const Lane* lane : lanes(win, &Work::extract, s)) {
+      wait(win, &Work::extract, *lane);
+    }
+    engine_.rt_.add_spe_span(probe::Phase::kExtract,
+                             std::string(engine_.slots_[s].name) + "[w" +
+                                 std::to_string(w) + "]",
+                             win_sent[w], ppe.now_ns());
+  };
+  auto flush_window = [&](std::size_t w) {
     probe::ProbeSpan span(rt, probe::Phase::kDispatch, ppe, "flush_extract");
     win_sent[w] = ppe.now_ns();
     const Window win = window(w, total);
-    for (int s = 0; s < 4; ++s) flush_extract_slot(win, s);
+    for (int s = 0; s < 4; ++s) flush_slot(win, s);
   };
   auto wait_window = [&](std::size_t w) {
     probe::ProbeSpan span(rt, probe::Phase::kExtract, ppe, "wait_extract");
     const Window win = window(w, total);
-    for (int s = 0; s < 4; ++s) {
-      wait_extract_slot(win, s);
-      engine_.rt_.add_spe_span(probe::Phase::kExtract,
-                               std::string(engine_.slots_[s].name) + "[w" +
-                                   std::to_string(w) + "]",
-                               win_sent[w], ppe.now_ns());
-    }
+    for (int s = 0; s < 4; ++s) wait_slot(win, w, s);
   };
   auto retire_window = [&](std::size_t w) {
     const Window win = window(w, total);
@@ -921,7 +415,7 @@ void StreamEngine::run_windows(
     try {
       for (std::size_t w = 0; w < W; ++w) {
         prepare(w);
-        flush(w);
+        flush_window(w);
         if (w > 0) {
           wait_window(w - 1);
           retire_window(w - 1);
@@ -946,15 +440,11 @@ void StreamEngine::run_windows(
       win_sent[w] = ppe.now_ns();
       const Window win = window(w, total);
       for (int s = 0; s < 4; ++s) {
-        flush_extract_slot(win, s);
-        wait_extract_slot(win, s);
-        engine_.rt_.add_spe_span(probe::Phase::kExtract,
-                                 std::string(engine_.slots_[s].name) +
-                                     "[w" + std::to_string(w) + "]",
-                                 win_sent[w], ppe.now_ns());
+        flush_slot(win, s);
+        wait_slot(win, w, s);
       }
     } else {
-      flush(w);
+      flush_window(w);
       wait_window(w);
     }
     retire_window(w);
@@ -968,11 +458,11 @@ void StreamEngine::run_windows(
 // tasks queue behind the earlier requests' as it is decoded, and the
 // loop is serviced between decode slices — so a lane that drew a small
 // task steals ahead, into the next request, and a quarantined lane never
-// gates a request. Reduction (reduce_fused_window) walks each request's
+// gates a request. Reduction (CellEngine::reduce) walks each request's
 // tasks in ascending row order, so results are bit-identical to the
 // static fused split whichever lane ran which task.
 
-StreamEngine::PerImage& StreamEngine::request_buf(std::size_t r) {
+StreamEngine::Work& StreamEngine::request_buf(std::size_t r) {
   return *bufs_[r % bufs_.size()];
 }
 
@@ -987,23 +477,22 @@ void StreamEngine::run_balanced(
   // the engine stays usable.
   StealLoop loop(ppe, rt, engine_.fused_lanes_,
                  [this](std::size_t r, std::size_t t) {
-                   fallback_fused_range(request_buf(r), t,
-                                        "fuse[task" + std::to_string(t) +
-                                            "]");
+                   engine_.mirror_fused(request_buf(r), t);
                  });
   const std::function<void()> service = [&loop] { loop.service(); };
 
   auto decode = [&](std::size_t r, bool overlapped) {
-    PerImage& pi = request_buf(r);
+    Work& work = request_buf(r);
     {
       probe::ProbeSpan span(rt, probe::Phase::kDecode, ppe,
                             "decode[" + std::to_string(r) + "]");
-      prepare_image(pi, *images[r],
-                    overlapped ? service : std::function<void()>{}, &loop,
-                    r);
+      work.pixels = engine_.ingest(
+          *images[r], overlapped ? service : std::function<void()>{},
+          std::move(work.pixels), &loop, r);
+      engine_.prepare(work, /*charge_each=*/true);
     }
     loop.push(r, static_cast<int>(kernels::SPU_Run_Fused),
-              engine_.fused_task_eas(pi.fused_rows, pi.fused_msgs));
+              engine_.task_eas(work));
   };
   decode(0, false);
   for (std::size_t r = 0; r < n; ++r) {

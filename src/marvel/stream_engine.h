@@ -22,7 +22,12 @@
 // celldecode: request i+1's SIC block rows decode as tasks in the same
 // queue (behind request i's extraction), so the PPE keeps only the disk
 // read, the Huffman pass and the token scan of each request.
-// Results are bit-exact with per-call analyze() on every path.
+//
+// StreamEngine keeps no per-image state or per-strategy code of its own:
+// it holds CellEngine working sets (one per request in flight) and is
+// the command-ring transport over their kernel-call lists — the lists
+// analyze() sends over the mailbox — plus the window and per-request
+// schedules. Results are bit-exact with per-call analyze() on every path.
 #pragma once
 
 #include <cstdint>
@@ -79,47 +84,20 @@ class StreamEngine {
   }
 
  private:
-  /// Per-image working set: the kernels of different in-flight images
-  /// must not share output buffers, so each window slot carries its own
-  /// messages and result areas (the model descriptors stay shared,
-  /// read-only, with the engine).
-  struct SlotBuf {
-    port::WrappedMessage<kernels::ImageMsg> msg;
-    cellport::AlignedBuffer<float> out;
-    port::WrappedMessage<kernels::DetectMsg> detect_msg;
-    cellport::AlignedBuffer<double> scores;
-    // cellshard (kSharded only): per-shard messages and raw-partial
-    // buffers, plus per-model-block detection staging — each in-flight
-    // image reduces its own partials, so nothing is shared between
-    // windows. `shard_rows` is recomputed per image in prepare_window.
-    std::vector<port::WrappedMessage<kernels::ImageMsg>> shard_msgs;
-    std::vector<cellport::AlignedBuffer<std::uint8_t>> shard_parts;
-    std::vector<shard::Range> shard_rows;
-    std::vector<port::WrappedMessage<kernels::DetectMsg>> block_msgs;
-    std::vector<cellport::AlignedBuffer<double>> block_scores;
-  };
-  struct PerImage {
-    img::RgbImage pixels;
-    std::vector<std::string> degraded;
-    SlotBuf sb[4];
-    // cellfuse (engine_.fused()): per-lane single-pass messages, partial
-    // blobs, and row ranges — each in-flight image reduces its own lane
-    // blobs, like the shard partials above.
-    std::vector<port::WrappedMessage<kernels::ImageMsg>> fused_msgs;
-    std::vector<cellport::AlignedBuffer<std::uint8_t>> fused_parts;
-    std::vector<shard::Range> fused_rows;
-  };
-
-  /// The images one ring window (or one pipelined request) carries, in
-  /// request order.
-  using Window = std::vector<PerImage*>;
+  using Work = CellEngine::Work;
+  using KernelCall = CellEngine::KernelCall;
+  /// One of a working set's call lists (Work::extract or Work::detect).
+  using CallList = std::vector<KernelCall> Work::*;
+  /// The working sets one ring window (or one pipelined request)
+  /// carries, in request order.
+  using Window = std::vector<Work*>;
 
   /// Arms (or re-arms after a guard migration) a ring of >= `cap` slots;
   /// null when the guarded interface is currently closed.
   port::SPEInterface* ensure_ring(port::SPEInterface* iface,
                                   std::uint32_t cap);
 
-  /// The buffers of window `w` of a `total`-request queue.
+  /// The working sets of window `w` of a `total`-request queue.
   Window window(std::size_t w, std::size_t total);
 
   /// The shared streaming loop behind run() and drain().
@@ -128,13 +106,6 @@ class StreamEngine {
   /// The window loop (per-feature, sharded and fused engines).
   void run_windows(const std::vector<const img::SicEncoded*>& images,
                    std::vector<AnalysisResult>* out);
-  /// Decodes one image into `pi` and fills its messages (the PPE-side
-  /// work that overlaps in-flight extraction in the pipelined flows).
-  /// `between_slices` runs between the PPE decode slices; with `loop`, a
-  /// SIC carrier's block rows decode as owner `owner`'s tasks on it.
-  void prepare_image(PerImage& pi, const img::SicEncoded& image,
-                     const std::function<void()>& between_slices = {},
-                     StealLoop* loop = nullptr, std::size_t owner = 0);
   int flush_ring(port::SPEInterface* iface);
   /// Collects every batch still in flight on the engine's rings (best
   /// effort): an aborted window stream's teardown.
@@ -147,48 +118,27 @@ class StreamEngine {
   template <typename Rerun>
   void wait_batch(port::SPEInterface* iface, std::size_t n,
                   const char* stage, const Rerun& rerun);
-  /// Enqueues + doorbells the window's requests for slot `s`'s extract
-  /// ring (one doorbell).
-  void flush_extract_slot(const Window& win, int s);
-  /// Waits slot `s`'s extract batch for the window and resolves
-  /// per-request faults.
-  void wait_extract_slot(const Window& win, int s);
-  /// Merges fused/balanced blobs or shard partials, then runs the
-  /// window's detection batch(es) and resolves faults.
+
+  // ---- the ring transport over the engine's call lists ----
+  /// The distinct lanes the window's `list` rides (only slot `slot`'s
+  /// calls when >= 0), in list order.
+  std::vector<const Lane*> lanes(const Window& win, CallList list,
+                                 int slot = -1) const;
+  /// Enqueues every call of the window's `list` that rides `lane`
+  /// (request-major, list order) behind ONE doorbell, on a ring sized for
+  /// `windows` windows in flight. A lane the window gives no call stays
+  /// unarmed: arming costs the SPE a descriptor fetch nobody waits for.
+  void flush(const Window& win, CallList list, const Lane& lane,
+             std::uint32_t windows);
+  /// Collects the batch flush() rang on `lane`; each call the ring lost
+  /// re-runs alone through the engine's guard-call helper (same label
+  /// and PPE mirror as the mailbox transport).
+  void wait(const Window& win, CallList list, const Lane& lane);
+  /// Merges the window's partials, then runs its detection calls lane
+  /// by lane (flush, wait) and concatenates kSharded model blocks.
   void run_detect(const Window& win);
-
-  // ---- cellshard flows (kSharded only) ----
-  /// Enqueues + doorbells the window's requests on every shard ring of
-  /// slot `s` (one doorbell per shard).
-  void flush_shard_slot(const Window& win, int s);
-  /// Waits slot `s`'s shard rings for the window; a faulted request is
-  /// re-run alone, dropping to the PPE mirror partial when the guard
-  /// gives up.
-  void wait_shard_slot(const Window& win, int s);
-  /// Merges every image's raw partials into its feature buffers (between
-  /// the extract wait and detection).
-  void reduce_window(const Window& win);
-  /// Block-parallel detection over the shard detection rings.
-  void run_detect_sharded(const Window& win);
-  void rerun_shard(int s, int k, PerImage& pi);
-  void rerun_detect_block(int s, int b, PerImage& pi);
-
-  // ---- cellfuse flows (engine_.fused() only) ----
-  /// Enqueues + doorbells the window's requests on every fused lane ring
-  /// (one doorbell per lane); extraction rides the lanes instead of the
-  /// per-feature slots.
-  void flush_fused_window(const Window& win);
-  /// Waits every lane ring for the window; a faulted request is re-run
-  /// alone, dropping to the PPE mirror partials when the guard gives up.
-  void wait_fused_window(const Window& win);
-  /// Merges every image's lane (or task) blob sections into its four
-  /// feature buffers (between the extract wait and detection).
-  void reduce_fused_window(const Window& win);
-  void rerun_fused_lane(std::size_t k, PerImage& pi);
-  /// PPE mirror for fused range `k` of `pi` (a lane's or a task's), into
-  /// the four sections of its blob, after the guard gave up.
-  void fallback_fused_range(PerImage& pi, std::size_t k,
-                            const std::string& label);
+  /// Copies the window's results out, in request order, and stamps each
+  /// request's completion.
   void collect_window(const Window& win, std::vector<AnalysisResult>* out);
 
   // ---- cellflow: the per-request balanced pipeline ----
@@ -196,16 +146,8 @@ class StreamEngine {
   /// comment); appends one result per image to `out`, in order.
   void run_balanced(const std::vector<const img::SicEncoded*>& images,
                     std::vector<AnalysisResult>* out);
-  PerImage& request_buf(std::size_t r);
+  Work& request_buf(std::size_t r);
 
-  // Per-request recovery (guarded engine): re-run just the affected
-  // request through the guard's retry loop, dropping to the PPE
-  // reference path when it gives up.
-  void rerun_extract(int s, PerImage& pi);
-  void rerun_detect(int s, PerImage& pi);
-  void fallback_extract(int s, PerImage& pi);
-  void fallback_detect(int s, PerImage& pi);
-  void note_degraded(const char* stage, int s, PerImage& pi);
   [[noreturn]] void throw_ring_fault(const char* stage,
                                      port::SPEInterface* iface);
 
@@ -219,17 +161,12 @@ class StreamEngine {
   /// Balanced engines: decode request i+1 while request i extracts.
   bool decode_ahead_ = false;
   sim::SimTime guard_deadline_ns_ = 0;
-  /// Per-image buffers, one per request in flight: 2 x batch (pipelined
-  /// windows), batch (sequential windows), 2 or 1 (balanced pipeline).
+  /// The engine's working sets, one per request in flight: 2 x batch
+  /// (pipelined windows), batch (sequential windows), 2 or 1 (balanced
+  /// pipeline), each scoring at most opts_.max_models models per slot.
   /// Each decode reuses its buffer's pixel storage, so after the largest
   /// shape has passed a stream allocates no image memory.
-  std::vector<std::unique_ptr<PerImage>> bufs_;
-  /// kSharded: slot s's detection model blocks (fixed per engine — they
-  /// depend only on the model count and the plan's detect_spes).
-  std::vector<shard::Range> cd_blocks_[4];
-  /// Models actually scored per slot (opts_.max_models clamp; the full
-  /// set when the knob is 0).
-  int scored_models_[4] = {0, 0, 0, 0};
+  std::vector<std::unique_ptr<Work>> bufs_;
   /// Incremental-admission state (submit/drain/close).
   std::vector<const img::SicEncoded*> pending_;
   std::vector<RequestEnd> ends_;

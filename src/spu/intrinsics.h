@@ -376,8 +376,14 @@ inline vec_int4 spu_convts(const vec_float4& a, unsigned scale = 0) {
   float k = std::ldexp(1.0f, static_cast<int>(scale));
   for (std::size_t i = 0; i < 4; ++i) {
     float x = a.v[i] * k;
-    // Saturating conversion, like the hardware.
-    if (x >= 2147483647.0f) {
+    // Saturating conversion, like the hardware. SPU single precision has
+    // no NaN or infinity: exponent 255 is extended range (|x| >= 2^128),
+    // so such a bit pattern saturates by its sign.
+    if (std::isnan(x)) {
+      r.v[i] = std::signbit(a.v[i])
+                   ? std::numeric_limits<std::int32_t>::min()
+                   : std::numeric_limits<std::int32_t>::max();
+    } else if (x >= 2147483647.0f) {
       r.v[i] = std::numeric_limits<std::int32_t>::max();
     } else if (x <= -2147483648.0f) {
       r.v[i] = std::numeric_limits<std::int32_t>::min();

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "sim/machine.h"
 #include "spu/spu.h"
@@ -237,6 +240,62 @@ TEST(SpuShuffle, ShufbConformanceTable) {
     for (std::size_t i = 0; i < 16; ++i) {
       EXPECT_EQ(r.v[i], i == 3 ? 0x12 : c.expect)
           << c.rule << " (lane " << i << ")";
+    }
+  }
+}
+
+// cflts (spu_convts) conformance: truncation toward zero, scale
+// 2^scale, saturation at the int32 edges, and the exponent-255 patterns
+// the host reads as NaN/Inf but SPU single precision reads as extended
+// range — they saturate by sign.
+struct ConvtsCase {
+  std::uint32_t bits;
+  unsigned scale;
+  std::int32_t expect;
+  const char* rule;
+};
+constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+constexpr ConvtsCase kConvtsTable[] = {
+    {std::bit_cast<std::uint32_t>(0.0f), 0, 0, "zero"},
+    {std::bit_cast<std::uint32_t>(1.9f), 0, 1, "truncates toward zero"},
+    {std::bit_cast<std::uint32_t>(-1.9f), 0, -1, "truncates toward zero (-)"},
+    {std::bit_cast<std::uint32_t>(0.75f), 1, 1, "scale 1: 1.5 -> 1"},
+    {std::bit_cast<std::uint32_t>(-0.75f), 1, -1, "scale 1: -1.5 -> -1"},
+    {std::bit_cast<std::uint32_t>(0.5f), 31, 1 << 30, "scale 31: 0.5 -> 2^30"},
+    {std::bit_cast<std::uint32_t>(1.0f), 31, kMax, "scale 31: 2^31 saturates"},
+    {std::bit_cast<std::uint32_t>(-1.0f), 31, kMin, "scale 31: -2^31 exact"},
+    {std::bit_cast<std::uint32_t>(2147483520.0f), 0, 2147483520,
+     "largest float below 2^31"},
+    {std::bit_cast<std::uint32_t>(2147483648.0f), 0, kMax, "2^31 saturates"},
+    {std::bit_cast<std::uint32_t>(-2147483520.0f), 0, -2147483520,
+     "smallest float above -2^31"},
+    {std::bit_cast<std::uint32_t>(-2147483648.0f), 0, kMin, "-2^31 exact"},
+    {std::bit_cast<std::uint32_t>(-4294967296.0f), 0, kMin,
+     "below -2^31 saturates"},
+    {0x00000001u, 31, 0, "denormal -> 0"},
+    {0x7F800000u, 0, kMax, "+Inf pattern saturates high"},
+    {0xFF800000u, 0, kMin, "-Inf pattern saturates low"},
+    {0x7FC00000u, 0, kMax, "+NaN pattern (quiet) saturates high"},
+    {0xFFC00000u, 0, kMin, "-NaN pattern (quiet) saturates low"},
+    {0x7F800001u, 0, kMax, "+NaN pattern (signaling) saturates high"},
+    {0xFFFFFFFFu, 0, kMin, "-NaN pattern (all ones) saturates low"},
+    {0x7FC00000u, 31, kMax, "+NaN pattern, scale 31"},
+    {0xFFC00000u, 1, kMin, "-NaN pattern, scale 1"},
+};
+
+TEST(SpuConvert, ConvtsConformanceTable) {
+  for (const ConvtsCase& c : kConvtsTable) {
+    // The case's pattern in every lane but one, which keeps 0.25 so each
+    // row also checks the lanes stay independent.
+    vec_float4 a = spu_splats<vec_float4>(std::bit_cast<float>(c.bits));
+    a.v[2] = 0.25f;
+    const vec_int4 r = spu_convts(a, c.scale);
+    for (std::size_t i = 0; i < 4; ++i) {
+      const std::int32_t want =
+          i == 2 ? static_cast<std::int32_t>(std::ldexp(0.25, c.scale))
+                 : c.expect;
+      EXPECT_EQ(r.v[i], want) << c.rule << " (lane " << i << ")";
     }
   }
 }
